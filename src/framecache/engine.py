@@ -8,15 +8,12 @@ right after each refresh, which is how the sanity study replaces the
 cache with zeros, random values or additive noise.
 """
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .netgraph import NetworkSpec, forward_cached, forward_full
-from .ops import smape
 from .policies import (
     DeltaSmape,
     PolicyState,
@@ -38,20 +35,16 @@ __all__ = [
     "baseline_outputs",
     "cache_bytes_report",
     "corrupt_cache",
-    "report_rows",
     "run_sequence",
-    "save_report_csv",
-    "save_report_json",
 ]
 
 
 @dataclass(eq=False)
 class CacheState:
-    """Stored producer-side edge tensors plus refresh bookkeeping."""
+    """Stored producer-side edge tensors plus the input-delta reference."""
 
     entries: dict[str, np.ndarray]
     reference_input: np.ndarray | None = None
-    last_refresh_frame: int = -1
 
 
 def cache_bytes_report(state: CacheState) -> int:
@@ -111,11 +104,7 @@ def corrupt_cache(
                 std = mode.sigma_scale * float(entry.std())
                 noise = rng.normal(0.0, std, size=entry.shape).astype(np.float32)
                 entries[name] = entry + noise
-    return CacheState(
-        entries=entries,
-        reference_input=state.reference_input,
-        last_refresh_frame=state.last_refresh_frame,
-    )
+    return CacheState(entries=entries, reference_input=state.reference_input)
 
 
 @dataclass(eq=False)
@@ -133,7 +122,6 @@ class SequenceReport:
     refresh_count: int
     full_pass_flops: int
     cache_bytes: int
-    policy_name: str = ""
 
     @property
     def frame_count(self) -> int:
@@ -184,7 +172,6 @@ def run_sequence(
             cache = CacheState(
                 entries=result.edge_tensors,
                 reference_input=frame.input if isinstance(policy, DeltaSmape) else None,
-                last_refresh_frame=index,
             )
             if corruption is not None:
                 rng = np.random.default_rng([corruption.seed, index])
@@ -213,65 +200,3 @@ def run_sequence(
 def baseline_outputs(spec: NetworkSpec, frames) -> list[np.ndarray]:
     """Full-network outputs for every frame (the no-cache reference)."""
     return [forward_full(spec, frame.input).output for frame in frames]
-
-
-# ---------------------------------------------------------------------------
-# Report serialization
-# ---------------------------------------------------------------------------
-
-REPORT_COLUMNS = ("index", "refreshed", "flops", "policy_metric", "mse_vs_baseline")
-
-
-def report_rows(
-    report: SequenceReport, baseline: list[np.ndarray] | None = None
-) -> list[dict]:
-    """One dict per frame with the standard report columns."""
-    if baseline is not None and len(baseline) != report.frame_count:
-        raise ValueError("baseline length does not match the report")
-    rows = []
-    for record in report.frames:
-        if baseline is None:
-            mse_value = None
-        else:
-            diff = record.output.astype(np.float64) - baseline[record.index].astype(np.float64)
-            mse_value = float(np.mean(diff * diff))
-        rows.append(
-            {
-                "index": record.index,
-                "refreshed": record.refreshed,
-                "flops": record.flops,
-                "policy_metric": record.policy_metric,
-                "mse_vs_baseline": mse_value,
-            }
-        )
-    return rows
-
-
-def save_report_csv(report: SequenceReport, path, baseline=None) -> None:
-    rows = report_rows(report, baseline)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def save_report_json(report: SequenceReport, path, baseline=None) -> None:
-    doc = {
-        "policy": report.policy_name,
-        "frame_count": report.frame_count,
-        "refresh_count": report.refresh_count,
-        "full_pass_flops": report.full_pass_flops,
-        "total_flops": report.total_flops,
-        "skipped_frame_fraction": report.skipped_frame_fraction,
-        "eliminated_flops_fraction": report.eliminated_flops_fraction,
-        "cache_bytes": report.cache_bytes,
-        "frames": report_rows(report, baseline),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def sequence_smape_to_baseline(report: SequenceReport, baseline: list[np.ndarray]) -> float:
-    """Mean per-frame SMAPE of report outputs against baseline outputs."""
-    values = [smape(rec.output, baseline[rec.index]) for rec in report.frames]
-    return float(np.mean(values))

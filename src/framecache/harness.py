@@ -258,9 +258,7 @@ def _build_network(params: dict):
         return build_unet(**params)
     if kind == "unetpp":
         return build_unetpp(**params)
-    if kind in ("superres", "multibranch"):
-        # The multibranch family is configured through its super-resolution
-        # preset; bespoke branch graphs are built in code via build_multibranch.
+    if kind == "superres":
         return build_superres(**params)
     raise ValueError(f"unknown network kind {kind!r}")
 
@@ -308,8 +306,16 @@ _SUMMARY_COLUMNS = (
 _FRAME_COLUMNS = ("policy", "frame", "refreshed", "flops", "policy_metric", "mse", "ssim")
 
 
-def _quality_rows(label: str, report, baseline, warmup: int):
-    """One summary row plus per-frame rows for a finished sequence run."""
+_MEAN_MSE = _SUMMARY_COLUMNS.index("mean_mse")
+
+
+def _scored_run(label: str, spec, sequence, policy, baseline, warmup: int, corruption=None):
+    """Run one sequence and score it against the no-cache baseline.
+
+    Returns the SequenceReport, its summary row (_SUMMARY_COLUMNS) and its
+    per-frame rows (_FRAME_COLUMNS).
+    """
+    report = run_sequence(spec, sequence, policy, corruption)
     quality = aggregate(report, baseline, warmup=warmup)
     summary = (
         label,
@@ -335,7 +341,7 @@ def _quality_rows(label: str, report, baseline, warmup: int):
         )
         for rec in report.frames
     ]
-    return summary, frames
+    return report, summary, frames
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +370,8 @@ def scenario_policy_sweep(cfg: RunConfig) -> list[Table]:
     counts: dict[str, int] = {}
     for preset in presets:
         policy = preset_policy(preset, frames)
-        report = run_sequence(spec, sequence, policy)
+        report, summary, per_frame = _scored_run(preset, spec, sequence, policy, baseline, cfg.warmup)
         counts[preset] = report.refresh_count
-        summary, per_frame = _quality_rows(preset, report, baseline, cfg.warmup)
         summary_rows.append(summary)
         frame_rows += per_frame
     if "n5" in counts:
@@ -403,35 +408,33 @@ def scenario_ablation_levels(cfg: RunConfig) -> list[Table]:
     sequence = generate(scene, frames)
     policy = _policy_from_config(cfg, frames, "n5")
 
-    rows, frame_rows = [], []
     unet = build_unet(unet_depth, base, (6, hw, hw), seed=cfg.seed)
+    unetpp = build_unetpp(unetpp_depth, base, (6, hw, hw), seed=cfg.seed)
     unet_baseline = baseline_outputs(unet, sequence)
-    level_fracs, level_mse = [], []
-    for level in range(1, unet_depth):
-        spec = set_unet_level(unet, level)
+    unetpp_baseline = baseline_outputs(unetpp, sequence)
+    variants = [("unet", set_unet_level(unet, level), unet_baseline) for level in range(1, unet_depth)]
+    variants += [
+        ("unetpp", replace_cache_config(unetpp, config), unetpp_baseline)
+        for config in (unetpp_config_b(unetpp_depth), unetpp_config_a(unetpp_depth))
+    ]
+
+    rows, frame_rows = [], []
+    level_fracs, level_mse, config_fracs = [], [], {}
+    for family, spec, baseline in variants:
+        label = spec.cache_config.label
         frac = spec.cached_flops() / spec.full_flops
-        report = run_sequence(spec, sequence, policy)
-        summary, per_frame = _quality_rows(spec.cache_config.label, report, unet_baseline, cfg.warmup)
-        rows.append(("unet", spec.cache_config.label, spec.full_flops, spec.cached_flops(), frac) + summary[1:])
+        _, summary, per_frame = _scored_run(label, spec, sequence, policy, baseline, cfg.warmup)
+        rows.append((family, label, spec.full_flops, spec.cached_flops(), frac) + summary[1:])
         frame_rows += per_frame
-        level_fracs.append(frac)
-        level_mse.append(summary[_SUMMARY_COLUMNS.index("mean_mse")])
+        if family == "unet":
+            level_fracs.append(frac)
+            level_mse.append(summary[_MEAN_MSE])
+        else:
+            config_fracs[label] = frac
     for frac_prev, frac_next in zip(level_fracs, level_fracs[1:]):
         _require(frac_prev < frac_next, "FLOPs-remaining must strictly increase with level")
     for mse_prev, mse_next in zip(level_mse, level_mse[1:]):
         _require(mse_next <= mse_prev, "mean MSE must be non-increasing with deeper level")
-
-    unetpp = build_unetpp(unetpp_depth, base, (6, hw, hw), seed=cfg.seed)
-    unetpp_baseline = baseline_outputs(unetpp, sequence)
-    config_fracs = {}
-    for config in (unetpp_config_b(unetpp_depth), unetpp_config_a(unetpp_depth)):
-        spec = replace_cache_config(unetpp, config)
-        frac = spec.cached_flops() / spec.full_flops
-        config_fracs[config.label] = frac
-        report = run_sequence(spec, sequence, policy)
-        summary, per_frame = _quality_rows(config.label, report, unetpp_baseline, cfg.warmup)
-        rows.append(("unetpp", config.label, spec.full_flops, spec.cached_flops(), frac) + summary[1:])
-        frame_rows += per_frame
     _require(
         config_fracs["unetpp_config_b"] < config_fracs["unetpp_config_a"],
         "config B must leave fewer FLOPs than config A",
@@ -482,22 +485,20 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
         ("uniform_random", Corruption("uniform_random", seed=corruption_seed)),
         ("normal_random", Corruption("normal_random", seed=corruption_seed)),
     ]
+    runs = [(label, policy, corruption) for label, corruption in modes]
+    runs.append(("no_update", preset_policy("no_update", frames), None))
 
     summary_rows, frame_rows = [], []
     means: dict[str, float] = {}
     outputs: dict[str, list[np.ndarray]] = {}
-    for label, corruption in modes:
-        report = run_sequence(spec, sequence, policy, corruption)
-        summary, per_frame = _quality_rows(label, report, baseline, cfg.warmup)
+    for label, run_policy, corruption in runs:
+        report, summary, per_frame = _scored_run(
+            label, spec, sequence, run_policy, baseline, cfg.warmup, corruption
+        )
         summary_rows.append(summary)
         frame_rows += per_frame
-        means[label] = summary[_SUMMARY_COLUMNS.index("mean_mse")]
+        means[label] = summary[_MEAN_MSE]
         outputs[label] = report.outputs
-    no_update = run_sequence(spec, sequence, preset_policy("no_update", frames))
-    summary, per_frame = _quality_rows("no_update", no_update, baseline, cfg.warmup)
-    summary_rows.append(summary)
-    frame_rows += per_frame
-    means["no_update"] = summary[_SUMMARY_COLUMNS.index("mean_mse")]
 
     _require(
         all(np.array_equal(a, b) for a, b in zip(outputs["noise_0"], outputs["proper"])),

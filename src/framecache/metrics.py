@@ -89,10 +89,6 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
 class QualityReport:
     """Sequence-level comparison of a cached run against baseline outputs."""
 
-    frame_count: int
-    refresh_count: int
-    skipped_frame_fraction: float
-    eliminated_flops_fraction: float
     mean_mse: float
     psnr_of_mean_mse: float
     mean_ssim: float
@@ -104,10 +100,10 @@ class QualityReport:
 def aggregate(report, baseline: list[np.ndarray], peak: float = 1.0, warmup: int = 0) -> QualityReport:
     """Summarize a SequenceReport against per-frame baseline outputs.
 
-    warmup drops the first frames from the quality means (refresh counts
-    and FLOPs fractions still cover the whole run). The headline PSNR is
-    computed from the mean MSE so bit-exact refresh frames cannot push the
-    average to infinity.
+    warmup drops the first frames from the quality means (the per-frame
+    lists still cover the whole run). The headline PSNR is computed from
+    the mean MSE so bit-exact refresh frames cannot push the average to
+    infinity.
     """
     outputs = report.outputs
     if len(baseline) != len(outputs):
@@ -120,10 +116,6 @@ def aggregate(report, baseline: list[np.ndarray], peak: float = 1.0, warmup: int
     scored = slice(warmup, None)
     mean_mse = float(np.mean(mses[scored]))
     return QualityReport(
-        frame_count=report.frame_count,
-        refresh_count=report.refresh_count,
-        skipped_frame_fraction=report.skipped_frame_fraction,
-        eliminated_flops_fraction=report.eliminated_flops_fraction,
         mean_mse=mean_mse,
         psnr_of_mean_mse=math.inf if mean_mse == 0 else 10.0 * math.log10(peak * peak / mean_mse),
         mean_ssim=float(np.mean(ssims[scored])),

@@ -6,6 +6,8 @@ import shutil
 import subprocess
 import sys
 
+from framecache.cli import _THREAD_ENV_VARS
+
 MODULE = [sys.executable, "-m", "framecache.cli"]
 
 
@@ -91,6 +93,12 @@ class TestErrorHandling:
         assert result.returncode == 2
         assert "unknown scenario" in result.stderr
 
+    def test_multibranch_network_kind_rejected(self, tmp_path):
+        config = write_config(tmp_path, scenario="policy_sweep", network={"kind": "multibranch"})
+        result = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "unknown network kind" in result.stderr
+
     def test_missing_subcommand(self):
         result = run_cli()
         assert result.returncode == 2
@@ -131,6 +139,30 @@ class TestThreadPinning:
             env={"FRAMECACHE_THREADS": "2"},
         )
         assert result.returncode == 0, result.stderr
+
+
+class TestThreadIndependence:
+    """Scenario tables do not depend on the BLAS thread count."""
+
+    def test_all_scenarios_identical_at_one_and_two_threads(self, tmp_path):
+        config = write_config(tmp_path)
+        # Explicit BLAS variables would override FRAMECACHE_THREADS, and the
+        # null_hypothesis tables still depend on the hash seed.
+        env = {k: v for k, v in os.environ.items() if k not in _THREAD_ENV_VARS}
+        env["PYTHONHASHSEED"] = "0"
+        tables = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads{threads}"
+            result = subprocess.run(
+                MODULE + ["run", "--config", str(config), "--scenario", "all", "--out", str(out_dir)],
+                capture_output=True,
+                text=True,
+                env=dict(env, FRAMECACHE_THREADS=threads),
+            )
+            assert result.returncode == 0, result.stderr
+            tables.append({path.name: path.read_bytes() for path in out_dir.glob("*.csv")})
+        assert len(tables[0]) == 10
+        assert tables[0] == tables[1]
 
 
 class TestConsoleScript:

@@ -5,8 +5,6 @@ refresh frames and on constant scenes are bit-level because cached passes
 replay the same arithmetic as full passes.
 """
 
-import csv
-import json
 import math
 import types
 
@@ -21,12 +19,9 @@ from framecache.engine import (
     baseline_outputs,
     cache_bytes_report,
     corrupt_cache,
-    report_rows,
     run_sequence,
-    save_report_csv,
-    save_report_json,
-    sequence_smape_to_baseline,
 )
+from framecache.metrics import aggregate
 from framecache.policies import DeltaSmape, EveryN, MotionThreshold, NonLinearSchedule
 from framecache.workload import SceneConfig, generate
 
@@ -165,7 +160,7 @@ class TestRunSequence:
         assert report.skipped_frame_fraction == pytest.approx(7.0 / 8.0, abs=0.0)
         for produced, reference in zip(report.outputs, baseline):
             assert np.array_equal(produced, reference)
-        assert sequence_smape_to_baseline(report, baseline) == 0.0
+        assert aggregate(report, baseline).mean_smape == 0.0
 
     def test_refresh_frames_match_baseline_on_drift(self):
         spec = small_net()
@@ -284,60 +279,3 @@ class TestRunWithCorruption:
             not np.array_equal(first.outputs[i], second.outputs[i]) for i in cached
         )
 
-
-class TestReportSerialization:
-    """Per-frame rows, CSV and JSON writers."""
-
-    def make_report(self, frame_count=6):
-        spec = small_net()
-        frames = generate(DRIFT_SCENE, frame_count).frames
-        report = run_sequence(spec, frames, EveryN(3))
-        report.policy_name = "every_3"
-        return report, baseline_outputs(spec, frames)
-
-    def test_rows_without_baseline(self):
-        report, _ = self.make_report()
-        rows = report_rows(report)
-        assert len(rows) == report.frame_count
-        assert all(row["mse_vs_baseline"] is None for row in rows)
-        assert [row["index"] for row in rows] == list(range(report.frame_count))
-
-    def test_rows_mse_against_baseline(self):
-        report, baseline = self.make_report()
-        rows = report_rows(report, baseline)
-        for row, record in zip(rows, report.frames):
-            expected = frame_mse(record.output, baseline[record.index])
-            assert row["mse_vs_baseline"] == pytest.approx(expected, abs=0.0)
-            if record.refreshed:
-                assert row["mse_vs_baseline"] == 0.0
-
-    def test_baseline_length_checked(self):
-        report, baseline = self.make_report()
-        with pytest.raises(ValueError, match="baseline length"):
-            report_rows(report, baseline[:-1])
-
-    def test_csv_round_trip(self, tmp_path):
-        report, baseline = self.make_report()
-        path = tmp_path / "report.csv"
-        save_report_csv(report, path, baseline)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == report.frame_count
-        assert [int(r["flops"]) for r in rows] == [f.flops for f in report.frames]
-        assert sum(int(r["flops"]) for r in rows) == report.total_flops
-        assert [r["refreshed"] == "True" for r in rows] == [f.refreshed for f in report.frames]
-
-    def test_json_totals_consistent(self, tmp_path):
-        report, baseline = self.make_report()
-        path = tmp_path / "report.json"
-        save_report_json(report, path, baseline)
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert doc["policy"] == "every_3"
-        assert doc["frame_count"] == report.frame_count
-        assert doc["refresh_count"] == report.refresh_count
-        assert doc["total_flops"] == sum(row["flops"] for row in doc["frames"])
-        assert doc["eliminated_flops_fraction"] == pytest.approx(
-            1.0 - doc["total_flops"] / (doc["frame_count"] * doc["full_pass_flops"]), abs=0.0
-        )
-        assert doc["cache_bytes"] == report.cache_bytes

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import framecache.harness as harness
+from framecache.builders import build_unet
+from framecache.engine import baseline_outputs
 from framecache.harness import (
     RunConfig,
     ScenarioError,
@@ -26,7 +28,9 @@ from framecache.harness import (
     scenario_policy_sweep,
     write_tables,
 )
+from framecache.metrics import mse
 from framecache.policies import DeltaSmape, EveryN
+from framecache.workload import SceneConfig, generate
 
 
 def minimal_config(**extra):
@@ -165,6 +169,29 @@ class TestTables:
         assert rows[1]["flag"] == "0"
         assert rows[0]["note"] == ""
         assert int(rows[1]["count"]) == 12
+
+
+class TestScoredRun:
+    """Summary and per-frame rows of one sequence run scored against its baseline."""
+
+    def test_rows_match_report_and_baseline(self):
+        spec = build_unet(2, 4, (6, 16, 16), seed=3)
+        scene = SceneConfig(seed=2, channels=6, height=16, width=16, pan_speed=2.0, base_cell=8)
+        frames = generate(scene, 6).frames
+        baseline = baseline_outputs(spec, frames)
+        report, summary, frame_rows = harness._scored_run("n3", spec, frames, EveryN(3), baseline, 0)
+        summary = dict(zip(harness._SUMMARY_COLUMNS, summary))
+        rows = [dict(zip(harness._FRAME_COLUMNS, row)) for row in frame_rows]
+        assert [row["frame"] for row in rows] == list(range(6))
+        assert {row["policy"] for row in rows} == {summary["policy"]} == {"n3"}
+        for row, record in zip(rows, report.frames):
+            assert row["mse"] == mse(record.output, baseline[record.index])
+            if record.refreshed:
+                assert row["mse"] == 0.0
+        assert summary["refresh_count"] == sum(row["refreshed"] for row in rows) == 2
+        assert summary["total_flops"] == sum(row["flops"] for row in rows)
+        assert summary["eliminated_flops_fraction"] == 1.0 - summary["total_flops"] / (6 * spec.full_flops)
+        assert summary["mean_mse"] == float(np.mean([row["mse"] for row in rows]))
 
 
 class TestMemoryReportScenario:

@@ -180,14 +180,8 @@ class TestMetricProperties:
 class TestAggregate:
     """Sequence-level quality summary."""
 
-    def make_report(self, outputs, refresh_count=1):
-        return types.SimpleNamespace(
-            outputs=outputs,
-            frame_count=len(outputs),
-            refresh_count=refresh_count,
-            skipped_frame_fraction=1.0 - refresh_count / len(outputs),
-            eliminated_flops_fraction=0.5,
-        )
+    def make_report(self, outputs):
+        return types.SimpleNamespace(outputs=outputs)
 
     def test_identical_outputs(self):
         rng = np.random.default_rng(9)
@@ -227,16 +221,6 @@ class TestAggregate:
         # Per-frame lists still cover the whole sequence.
         assert len(trimmed.per_frame_mse) == 3
         assert trimmed.per_frame_mse[0] > 0.0
-
-    def test_counts_passed_through(self):
-        rng = np.random.default_rng(12)
-        outputs = [rng.uniform(size=(2, 8, 8)).astype(np.float32) for _ in range(4)]
-        report = self.make_report(outputs, refresh_count=2)
-        quality = aggregate(report, outputs)
-        assert quality.frame_count == 4
-        assert quality.refresh_count == 2
-        assert quality.skipped_frame_fraction == 0.5
-        assert quality.eliminated_flops_fraction == 0.5
 
     def test_validation(self):
         rng = np.random.default_rng(13)
