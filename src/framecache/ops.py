@@ -6,6 +6,13 @@ row-major. Every operation here is a pure function. The convolution
 accumulates in float64 and rounds once back to float32, which keeps
 repeated evaluations bit-identical and keeps the result within one float32
 ulp of the exact sum regardless of summation order.
+
+The convolution is an im2col matrix product. Each ConvParams converts its
+weights and bias to float64 once, when it is built, and conv2d casts the
+input to float64 while it copies the im2col windows, so each call makes one
+copy of the expanded input instead of two. The float64 operands of the
+product are the same as a per-call cast of the weights and of a float32
+im2col matrix would give, so the outputs are unchanged bit for bit.
 """
 
 from dataclasses import dataclass
@@ -55,8 +62,10 @@ class ConvParams:
     """Weights and geometry for one 2-d convolution (cross-correlation).
 
     weights has shape (out_channels, in_channels, kernel_h, kernel_w) and
-    bias has shape (out_channels,); both are stored as float32. Padding is
-    symmetric zero padding. Bias adds are excluded from the FLOPs count.
+    bias has shape (out_channels,); both are stored as read-only float32
+    copies, so changing the arrays passed in does not change the layer.
+    Padding is symmetric zero padding. Bias adds are excluded from the
+    FLOPs count.
     """
 
     in_channels: int
@@ -74,15 +83,24 @@ class ConvParams:
                 raise ValueError(f"{field} must be >= 1")
         if self.padding < 0:
             raise ValueError("padding must be >= 0")
-        w = np.asarray(self.weights, dtype=np.float32)
+        w = np.array(self.weights, dtype=np.float32, order="C", copy=True)
         shape = (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
         if w.size != np.prod(shape):
             raise ValueError(f"weights size {w.size} does not match {shape}")
-        b = np.asarray(self.bias, dtype=np.float32)
+        b = np.array(self.bias, dtype=np.float32, order="C", copy=True)
         if b.size != self.out_channels:
             raise ValueError(f"bias size {b.size} does not match out_channels")
-        object.__setattr__(self, "weights", np.ascontiguousarray(w.reshape(shape)))
-        object.__setattr__(self, "bias", np.ascontiguousarray(b.reshape(-1)))
+        w = w.reshape(shape)
+        b = b.reshape(-1)
+        wmat = w.reshape(self.out_channels, -1).astype(np.float64)
+        bias_col = b.astype(np.float64)[:, None]
+        for array in (w, b, wmat, bias_col):
+            array.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "bias", b)
+        # conv2d's float64 operands: (out_channels, in_c*kh*kw) and (out_channels, 1).
+        object.__setattr__(self, "_wmat", wmat)
+        object.__setattr__(self, "_bias_col", bias_col)
 
 
 def conv_output_hw(params: ConvParams, height: int, width: int) -> tuple[int, int]:
@@ -98,25 +116,38 @@ def conv_output_hw(params: ConvParams, height: int, width: int) -> tuple[int, in
 
 
 def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """Apply a zero-padded strided cross-correlation to a (C, H, W) map."""
+    """Apply a zero-padded strided cross-correlation to a (C, H, W) map.
+
+    The input is padded in its own dtype, then its windows are cast to
+    float64 in the single copy that builds the im2col matrix. The product
+    with the float64 weights of params, made once per ConvParams, gets the
+    same operands as casting the weights and a float32 im2col matrix on
+    every call would, so the result is the same bit for bit.
+    """
     _check_map(x)
     c, h, w = x.shape
     if c != params.in_channels:
         raise ValueError(f"conv expects {params.in_channels} channels, got {c}")
     out_h, out_w = conv_output_hw(params, h, w)
     p = params.padding
-    xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
+    if p:
+        xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, p:p + h, p:p + w] = x
+    else:
+        xp = x
     s0, s1, s2 = xp.strides
+    window_shape = (c, params.kernel_h, params.kernel_w, out_h, out_w)
     windows = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(c, params.kernel_h, params.kernel_w, out_h, out_w),
+        shape=window_shape,
         strides=(s0, s1, s2, s1 * params.stride, s2 * params.stride),
         writeable=False,
     )
-    cols = windows.reshape(c * params.kernel_h * params.kernel_w, out_h * out_w)
-    wmat = params.weights.reshape(params.out_channels, -1).astype(np.float64)
-    acc = wmat @ cols.astype(np.float64)
-    acc += params.bias.astype(np.float64)[:, None]
+    cols = np.empty(window_shape, dtype=np.float64)
+    np.copyto(cols, windows)
+    cols = cols.reshape(c * params.kernel_h * params.kernel_w, out_h * out_w)
+    acc = params._wmat @ cols
+    acc += params._bias_col
     return acc.reshape(params.out_channels, out_h, out_w).astype(np.float32)
 
 

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from framecache import netgraph
 from framecache.builders import (
     build_multibranch,
     build_superres,
@@ -332,6 +333,38 @@ class TestFlopsAccounting:
         ]
         assert fractions[0] < fractions[1] < fractions[2]
         assert fractions[0] < 0.55
+
+
+class TestConvInstrumentationContract:
+    """Every conv goes through the module binding netgraph.conv2d.
+
+    Per-layer tracing patches that name, so a conv that bypassed it would
+    vanish from the traced conv counts and times.
+    """
+
+    def test_one_call_per_conv_in_executed_blocks(self, monkeypatch):
+        calls = []
+        original = netgraph.conv2d
+
+        def counting_conv2d(x, params):
+            calls.append(params)
+            return original(x, params)
+
+        monkeypatch.setattr(netgraph, "conv2d", counting_conv2d)
+        spec = set_unet_level(build_unet(4, 8, (6, 48, 48)), 1)
+
+        def convs(names):
+            return [op for n in names for op in spec.blocks[n].ops if isinstance(op, ConvParams)]
+
+        x = random_input(spec, 0)
+        full = forward_full(spec, x)
+        assert len(calls) == len(convs(spec.blocks))
+        assert {id(p) for p in calls} == {id(p) for p in convs(spec.blocks)}
+        calls.clear()
+        forward_cached(spec, x, full.edge_tensors)
+        live = convs(spec.cache_config.live_blocks)
+        assert len(calls) == len(live) == 5
+        assert {id(p) for p in calls} == {id(p) for p in live}
 
 
 class TestSubstitutionEquivalence:

@@ -4,15 +4,22 @@ The convolution oracle is a six-loop reference with an instrumented
 multiply-add counter, accumulating in float64 and casting once to
 float32, which is the same numeric contract the production kernel
 promises. Frozen checksums below were produced by that oracle.
+
+_seed_conv2d keeps the first im2col kernel's formula (pad, strided window
+view, float32 im2col copy, per-call float64 casts); the current kernel must
+reproduce it bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecache.ops import (
     ConvParams,
+    _check_map,
     block_mean,
     concat_channels,
     conv2d,
@@ -161,6 +168,113 @@ class TestConv2d:
             ConvParams(1, 3, 3, 3, w, b)
         with pytest.raises(ValueError):
             ConvParams(1, 2, 3, 3, w, np.zeros(3, dtype=np.float32))
+
+
+def _seed_conv2d(x, params):
+    """The first im2col conv2d, kept word for word as the bitwise reference."""
+    _check_map(x)
+    c, h, w = x.shape
+    if c != params.in_channels:
+        raise ValueError(f"conv expects {params.in_channels} channels, got {c}")
+    out_h, out_w = conv_output_hw(params, h, w)
+    p = params.padding
+    xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
+    s0, s1, s2 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(c, params.kernel_h, params.kernel_w, out_h, out_w),
+        strides=(s0, s1, s2, s1 * params.stride, s2 * params.stride),
+        writeable=False,
+    )
+    cols = windows.reshape(c * params.kernel_h * params.kernel_w, out_h * out_w)
+    wmat = params.weights.reshape(params.out_channels, -1).astype(np.float64)
+    acc = wmat @ cols.astype(np.float64)
+    acc += params.bias.astype(np.float64)[:, None]
+    return acc.reshape(params.out_channels, out_h, out_w).astype(np.float32)
+
+
+def _input_of_kind(rng, kind, shape):
+    """A (C, H, W) input: C-contiguous float32, a reversed-row view, or float64."""
+    if kind == "view":
+        return rng.standard_normal(shape).astype(np.float32)[:, ::-1]
+    if kind == "float64":
+        return rng.standard_normal(shape)  # not representable in float32
+    return rng.standard_normal(shape).astype(np.float32)
+
+
+def assert_bitwise_seed_match(x, params):
+    new = conv2d(x, params)
+    old = _seed_conv2d(x, params)
+    assert new.dtype == old.dtype == np.float32
+    assert new.shape == old.shape
+    assert np.array_equal(new.view(np.uint32), old.view(np.uint32))
+
+
+@st.composite
+def conv_cases(draw):
+    in_c = draw(st.integers(1, 8))
+    out_c = draw(st.integers(1, 8))
+    kernel_h = draw(st.integers(1, 5))
+    kernel_w = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 3))
+    padding = draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, kernel_h - 2 * padding), 14))
+    w = draw(st.integers(max(1, kernel_w - 2 * padding), 14))
+    kind = draw(st.sampled_from(["contiguous", "view", "float64"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    params = ConvParams(
+        in_c, out_c, kernel_h, kernel_w,
+        rng.standard_normal((out_c, in_c, kernel_h, kernel_w)).astype(np.float32),
+        rng.standard_normal(out_c).astype(np.float32),
+        stride=stride, padding=padding,
+    )
+    return _input_of_kind(rng, kind, (in_c, h, w)), params
+
+
+class TestConv2dMatchesSeedKernel:
+    """The kernel's float64 operands are unchanged, so outputs match bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(conv_cases())
+    def test_random_geometries(self, case):
+        x, params = case
+        assert_bitwise_seed_match(x, params)
+
+    @pytest.mark.parametrize("kind", ["contiguous", "view", "float64"])
+    @pytest.mark.parametrize(
+        "in_c,out_c,kernel,padding",
+        [(6, 8, 3, 1), (8, 8, 3, 1), (24, 8, 3, 1), (8, 6, 1, 0)],
+    )
+    def test_cached_frame_shapes(self, in_c, out_c, kernel, padding, kind):
+        # The five convolutions of a cached frame of the U-Net at level 1 on
+        # 48x48 inputs: enc0 (6->8, 8->8), dec0 (24->8, 8->8), head (8->6, 1x1).
+        rng = np.random.default_rng(in_c * 100 + out_c)
+        params = random_params(rng, in_c, out_c, kernel, padding=padding)
+        assert_bitwise_seed_match(_input_of_kind(rng, kind, (in_c, 48, 48)), params)
+
+
+class TestConvParamsCopies:
+    def test_source_mutation_does_not_change_output(self):
+        rng = np.random.default_rng(3)
+        weights = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
+        bias = rng.standard_normal(4).astype(np.float32)
+        params = ConvParams(2, 4, 3, 3, weights, bias, padding=1)
+        x = rng.standard_normal((2, 7, 7)).astype(np.float32)
+        before = conv2d(x, params)
+        weights *= 2.0
+        bias += 1.0
+        after = conv2d(x, params)
+        assert np.array_equal(before.view(np.uint32), after.view(np.uint32))
+        assert not np.shares_memory(params.weights, weights)
+        assert not np.shares_memory(params.bias, bias)
+
+    def test_weights_and_bias_are_read_only(self):
+        params = random_params(np.random.default_rng(0), 2, 3, 3)
+        with pytest.raises(ValueError):
+            params.weights[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            params.bias[0] = 1.0
 
 
 class TestPoolingAndResampling:
