@@ -172,12 +172,19 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:
-    """2x2 max pooling with stride 2; spatial dims must be even."""
+    """2x2 max pooling with stride 2; spatial dims must be even.
+
+    Takes the elementwise maximum of the four strided quarter views in the
+    window's row-major order, which gives the same bits, signed zeros
+    included, as reducing each 2x2 window of a C-ordered map with max,
+    whatever the memory layout of x.
+    """
     _check_map(x)
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 requires even spatial dims, got {h}x{w}")
-    return x.reshape(c, h // 2, 2, w // 2, 2).max(axis=(2, 4))
+    top = np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2])
+    return np.maximum(np.maximum(top, x[:, 1::2, 0::2]), x[:, 1::2, 1::2])
 
 
 def upsample_nearest2(x: np.ndarray) -> np.ndarray:

@@ -7,8 +7,16 @@ screen-space depth gradients (2), then extra noise channels to pad out the
 requested channel count; all channels live in [0, 1]. Everything derives
 from integer hashes and a seeded PCG stream, so a (config) pair yields
 bit-identical sequences on every run and platform.
+
+The noise is evaluated per lattice cell, not per pixel: each lattice point
+a frame touches is hashed once, x is interpolated along the lattice rows
+and y on the pixel grid, and the texture planes that share an octave
+count and base cell go through numpy together. Every lerp has the same
+float64 operands as a per-pixel evaluation of the four cell corners, so
+the frames are the same bit for bit.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -53,6 +61,8 @@ class SceneConfig:
     base_cell: int = 16
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
         if self.height < 1 or self.width < 1:
@@ -63,12 +73,18 @@ class SceneConfig:
             raise ValueError("sprite_count must be >= 0")
         if self.base_cell < 2:
             raise ValueError("base_cell must be >= 2")
+        if not math.isfinite(self.pan_speed):
+            raise ValueError(f"pan_speed must be finite, got {self.pan_speed}")
+        if not all(math.isfinite(component) for component in self.pan_direction):
+            raise ValueError(f"pan_direction must be finite, got {self.pan_direction}")
         norm = float(np.hypot(*self.pan_direction))
         if norm == 0.0:
             raise ValueError("pan_direction must be non-zero")
-        for count, _ in self.pan_schedule:
+        for count, speed in self.pan_schedule:
             if count < 1:
                 raise ValueError("pan_schedule segments need frame_count >= 1")
+            if not math.isfinite(speed):
+                raise ValueError(f"pan_schedule speeds must be finite, got {speed}")
 
 
 @dataclass(eq=False)
@@ -104,12 +120,16 @@ class FrameSequence:
 # ---------------------------------------------------------------------------
 
 
-def _hash01(ix: np.ndarray, iy: np.ndarray, salt: int) -> np.ndarray:
-    """Deterministic [0, 1) values from integer lattice coordinates."""
+def _hash01(ix: np.ndarray, iy: np.ndarray, salts: np.ndarray) -> np.ndarray:
+    """Deterministic [0, 1) values from integer lattice coordinates.
+
+    salts is a (P, 1, 1) uint64 array, one salt per plane, so the result
+    broadcasts to (P, ...) over the shapes of ix and iy.
+    """
     h = (
         ix.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         ^ iy.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
-        ^ np.uint64(salt & 0xFFFFFFFFFFFFFFFF)
+        ^ salts
     )
     h ^= h >> np.uint64(33)
     h *= np.uint64(0xFF51AFD7ED558CCD)
@@ -123,52 +143,69 @@ def _fade(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
 
 
-def _value_noise(xs: np.ndarray, ys: np.ndarray, salt: int) -> np.ndarray:
-    """Smoothly interpolated lattice noise at world coordinates (grid input)."""
+def _value_noise(xs: np.ndarray, ys: np.ndarray, salts: np.ndarray) -> np.ndarray:
+    """Smoothly interpolated lattice noise on the grid of a (W,) row and an (H,) column.
+
+    Returns (P, H, W) for the P salts of _hash01. Only the distinct lattice
+    coordinates the pixels touch are hashed, at most 2W by 2H of them
+    whatever the frequency, and each point once. x is interpolated on
+    those lattice rows first, then y on the pixel grid; each lerp has the
+    same float64 operands as evaluating the four corners of every pixel's
+    cell, so the result is the same bit for bit.
+    """
     x0 = np.floor(xs)
     y0 = np.floor(ys)
     tx = _fade(xs - x0)
     ty = _fade(ys - y0)
     ix0 = x0.astype(np.int64)
     iy0 = y0.astype(np.int64)
-    v00 = _hash01(ix0, iy0, salt)
-    v10 = _hash01(ix0 + 1, iy0, salt)
-    v01 = _hash01(ix0, iy0 + 1, salt)
-    v11 = _hash01(ix0 + 1, iy0 + 1, salt)
-    top = v00 + (v10 - v00) * tx
-    bottom = v01 + (v11 - v01) * tx
-    return top + (bottom - top) * ty
+    lattice_x, x_index = np.unique(np.concatenate([ix0, ix0 + 1]), return_inverse=True)
+    lattice_y, y_index = np.unique(np.concatenate([iy0, iy0 + 1]), return_inverse=True)
+    values = _hash01(lattice_x[None, :], lattice_y[:, None], salts)
+    width = xs.shape[0]
+    left = values[:, :, x_index[:width]]
+    right = values[:, :, x_index[width:]]
+    rows = left + (right - left) * tx
+    height = ys.shape[0]
+    top = rows[:, y_index[:height]]
+    bottom = rows[:, y_index[height:]]
+    return top + (bottom - top) * ty[:, None]
 
 
-def _fbm(xs, ys, salt: int, octaves: int, base_cell: int) -> np.ndarray:
-    total = np.zeros(np.broadcast_shapes(xs.shape, ys.shape))
+def _fbm(xs, ys, salts: list[int], octaves: int, base_cell: int) -> np.ndarray:
+    """Octave sum of value noise for each salt: (len(salts), H, W) in [0, 1)."""
+    total = np.zeros((len(salts), ys.shape[0], xs.shape[0]))
     amplitude = 1.0
     norm = 0.0
     for octave in range(octaves):
         freq = (1 << octave) / base_cell
-        total += amplitude * _value_noise(xs * freq, ys * freq, salt + 7919 * octave)
+        octave_salts = np.array(
+            [(salt + 7919 * octave) & 0xFFFFFFFFFFFFFFFF for salt in salts], dtype=np.uint64
+        ).reshape(-1, 1, 1)
+        total += amplitude * _value_noise(xs * freq, ys * freq, octave_salts)
         norm += amplitude
         amplitude *= 0.5
     return total / norm
 
 
 def _depth_field(xs, ys, seed: int, base_cell: int) -> np.ndarray:
-    return _fbm(xs, ys, salt=seed + 104729, octaves=1, base_cell=base_cell * 2)
+    return _fbm(xs, ys, [seed + 104729], octaves=1, base_cell=base_cell * 2)[0]
 
 
 def _frame_channels(config: SceneConfig, offset_x: float, offset_y: float) -> np.ndarray:
-    ys = (np.arange(config.height, dtype=np.float64) + offset_y)[:, None]
-    xs = (np.arange(config.width, dtype=np.float64) + offset_x)[None, :]
-    planes = []
-    for c in range(min(3, config.channels)):
-        # Squaring spreads the octave-averaged noise (which clusters near
-        # 0.5) over [0, 1] with mass near 0, so relative frame deltas are
-        # large enough for SMAPE thresholds in the 0.2 range to matter.
-        planes.append(
-            _fbm(xs, ys, salt=config.seed + 13 * c, octaves=config.texture_octaves,
-                 base_cell=config.base_cell)
-            ** 2
-        )
+    ys = np.arange(config.height, dtype=np.float64) + offset_y
+    xs = np.arange(config.width, dtype=np.float64) + offset_x
+    colours = min(3, config.channels)
+    texture_salts = [config.seed + 13 * c for c in range(colours)]
+    texture_salts += [config.seed + 977 * c for c in range(6, config.channels)]
+    # Squaring spreads the octave-averaged noise (which clusters near 0.5)
+    # over [0, 1] with mass near 0, so relative frame deltas are large
+    # enough for SMAPE thresholds in the 0.2 range to matter.
+    texture = (
+        _fbm(xs, ys, texture_salts, octaves=config.texture_octaves, base_cell=config.base_cell)
+        ** 2
+    )
+    planes = list(texture[:colours])
     if config.channels >= 4:
         planes.append(_depth_field(xs, ys, config.seed, config.base_cell))
     if config.channels >= 5:
@@ -180,12 +217,7 @@ def _frame_channels(config: SceneConfig, offset_x: float, offset_y: float) -> np
         planes.append(np.clip(0.5 + _GRAD_SCALE * gx, 0.0, 1.0))
         if config.channels >= 6:
             planes.append(np.clip(0.5 + _GRAD_SCALE * gy, 0.0, 1.0))
-    for c in range(6, config.channels):
-        planes.append(
-            _fbm(xs, ys, salt=config.seed + 977 * c, octaves=config.texture_octaves,
-                 base_cell=config.base_cell)
-            ** 2
-        )
+    planes.extend(texture[colours:])
     return np.stack(planes[: config.channels]).astype(np.float32)
 
 

@@ -7,7 +7,8 @@ promises. Frozen checksums below were produced by that oracle.
 
 _seed_conv2d keeps the first im2col kernel's formula (pad, strided window
 view, float32 im2col copy, per-call float64 casts); the current kernel must
-reproduce it bit for bit.
+reproduce it bit for bit. _seed_maxpool2 does the same for the first
+pooling formula (a reshape reduced with max).
 """
 
 import math
@@ -277,7 +278,47 @@ class TestConvParamsCopies:
             params.bias[0] = 1.0
 
 
+def _seed_maxpool2(x: np.ndarray) -> np.ndarray:
+    """2x2 max pooling with stride 2; spatial dims must be even."""
+    _check_map(x)
+    c, h, w = x.shape
+    if h % 2 or w % 2:
+        raise ValueError(f"maxpool2 requires even spatial dims, got {h}x{w}")
+    return x.reshape(c, h // 2, 2, w // 2, 2).max(axis=(2, 4))
+
+
+@st.composite
+def pool_inputs(draw):
+    c = draw(st.integers(1, 8))
+    h = 2 * draw(st.integers(1, 32))
+    w = 2 * draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Few distinct values, signed zeros among them, so windows tie often.
+    palette = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5], dtype=np.float32)
+    view = draw(st.sampled_from(["contiguous", "reversed", "strided", "transposed"]))
+    if view == "reversed":
+        return rng.choice(palette, size=(c, h, w))[:, ::-1, ::-1]
+    if view == "strided":
+        return rng.choice(palette, size=(c, h, 2 * w))[:, :, ::2]
+    if view == "transposed":
+        return rng.choice(palette, size=(c, w, h)).transpose(0, 2, 1)
+    return rng.choice(palette, size=(c, h, w))
+
+
 class TestPoolingAndResampling:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pool_inputs())
+    def test_maxpool_matches_seed_formula(self, x):
+        # The seed's max reduction visits a window in memory order, so on a
+        # transposed view a tie between 0.0 and -0.0 resolves the other way;
+        # its bits are defined by the C-ordered layout every caller passes.
+        new = maxpool2(x)
+        old = _seed_maxpool2(np.ascontiguousarray(x))
+        assert new.dtype == old.dtype == np.float32
+        assert new.shape == old.shape
+        assert np.array_equal(new.view(np.uint32), old.view(np.uint32))
+        assert np.array_equal(new, _seed_maxpool2(x))
+
     def test_maxpool_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

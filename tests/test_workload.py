@@ -3,13 +3,21 @@
 Determinism is checked at the bit level: the generator is hash-based, so
 the same config must reproduce identical bytes across runs. Motion ground
 truth is compared against the configured camera pan exactly.
+
+The _seed_* functions keep the first generator's per-pixel noise formula
+(four corner hashes for every pixel, octave and plane); the lattice-cell
+generator must reproduce its frames bit for bit.
 """
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from framecache import workload
 from framecache.policies import (
     DeltaSmape,
     initial_state,
@@ -25,6 +33,126 @@ from framecache.workload import (
     load_sequence,
     save_sequence,
 )
+from framecache.workload import _GRAD_SCALE
+
+
+def _seed_hash01(ix: np.ndarray, iy: np.ndarray, salt: int) -> np.ndarray:
+    """Deterministic [0, 1) values from integer lattice coordinates."""
+    h = (
+        ix.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        ^ iy.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+        ^ np.uint64(salt & 0xFFFFFFFFFFFFFFFF)
+    )
+    h ^= h >> np.uint64(33)
+    h *= np.uint64(0xFF51AFD7ED558CCD)
+    h ^= h >> np.uint64(33)
+    h *= np.uint64(0xC4CEB9FE1A85EC53)
+    h ^= h >> np.uint64(33)
+    return (h >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+
+
+def _seed_fade(t: np.ndarray) -> np.ndarray:
+    return t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
+
+
+def _seed_value_noise(xs: np.ndarray, ys: np.ndarray, salt: int) -> np.ndarray:
+    """Smoothly interpolated lattice noise at world coordinates (grid input)."""
+    x0 = np.floor(xs)
+    y0 = np.floor(ys)
+    tx = _seed_fade(xs - x0)
+    ty = _seed_fade(ys - y0)
+    ix0 = x0.astype(np.int64)
+    iy0 = y0.astype(np.int64)
+    v00 = _seed_hash01(ix0, iy0, salt)
+    v10 = _seed_hash01(ix0 + 1, iy0, salt)
+    v01 = _seed_hash01(ix0, iy0 + 1, salt)
+    v11 = _seed_hash01(ix0 + 1, iy0 + 1, salt)
+    top = v00 + (v10 - v00) * tx
+    bottom = v01 + (v11 - v01) * tx
+    return top + (bottom - top) * ty
+
+
+def _seed_fbm(xs, ys, salt: int, octaves: int, base_cell: int) -> np.ndarray:
+    total = np.zeros(np.broadcast_shapes(xs.shape, ys.shape))
+    amplitude = 1.0
+    norm = 0.0
+    for octave in range(octaves):
+        freq = (1 << octave) / base_cell
+        total += amplitude * _seed_value_noise(xs * freq, ys * freq, salt + 7919 * octave)
+        norm += amplitude
+        amplitude *= 0.5
+    return total / norm
+
+
+def _seed_depth_field(xs, ys, seed: int, base_cell: int) -> np.ndarray:
+    return _seed_fbm(xs, ys, salt=seed + 104729, octaves=1, base_cell=base_cell * 2)
+
+
+def _seed_frame_channels(config: SceneConfig, offset_x: float, offset_y: float) -> np.ndarray:
+    ys = (np.arange(config.height, dtype=np.float64) + offset_y)[:, None]
+    xs = (np.arange(config.width, dtype=np.float64) + offset_x)[None, :]
+    planes = []
+    for c in range(min(3, config.channels)):
+        # Squaring spreads the octave-averaged noise (which clusters near
+        # 0.5) over [0, 1] with mass near 0, so relative frame deltas are
+        # large enough for SMAPE thresholds in the 0.2 range to matter.
+        planes.append(
+            _seed_fbm(xs, ys, salt=config.seed + 13 * c, octaves=config.texture_octaves,
+                      base_cell=config.base_cell)
+            ** 2
+        )
+    if config.channels >= 4:
+        planes.append(_seed_depth_field(xs, ys, config.seed, config.base_cell))
+    if config.channels >= 5:
+        depth = planes[3]
+        gx = np.zeros_like(depth)
+        gy = np.zeros_like(depth)
+        gx[:, 1:-1] = 0.5 * (depth[:, 2:] - depth[:, :-2])
+        gy[1:-1, :] = 0.5 * (depth[2:, :] - depth[:-2, :])
+        planes.append(np.clip(0.5 + _GRAD_SCALE * gx, 0.0, 1.0))
+        if config.channels >= 6:
+            planes.append(np.clip(0.5 + _GRAD_SCALE * gy, 0.0, 1.0))
+    for c in range(6, config.channels):
+        planes.append(
+            _seed_fbm(xs, ys, salt=config.seed + 977 * c, octaves=config.texture_octaves,
+                      base_cell=config.base_cell)
+            ** 2
+        )
+    return np.stack(planes[: config.channels]).astype(np.float32)
+
+
+def assert_matches_seed_generator(config, frame_count):
+    frames = generate(config, frame_count).frames
+    with mock.patch.object(workload, "_frame_channels", _seed_frame_channels):
+        expected = generate(config, frame_count).frames
+    for frame, reference in zip(frames, expected, strict=True):
+        assert frame.input.tobytes() == reference.input.tobytes()
+        assert frame.motion.tobytes() == reference.motion.tobytes()
+
+
+@st.composite
+def scene_configs(draw):
+    direction = draw(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+            lambda d: float(np.hypot(*d)) > 0.0
+        )
+    )
+    schedule = draw(
+        st.none()
+        | st.lists(st.tuples(st.integers(1, 3), st.floats(0.0, 13.0)), min_size=1, max_size=3)
+    )
+    return SceneConfig(
+        seed=draw(st.integers(0, 2**62)),
+        channels=draw(st.integers(1, 8)),
+        height=draw(st.integers(8, 70)),
+        width=draw(st.integers(8, 70)),
+        pan_speed=draw(st.floats(0.0, 13.0)),
+        pan_direction=direction,
+        pan_schedule=tuple(schedule or ()),
+        sprite_count=draw(st.integers(0, 2)),
+        texture_octaves=draw(st.integers(1, 6)),
+        base_cell=draw(st.integers(2, 50)),
+    )
 
 
 def refresh_indices(policy, frames):
@@ -167,6 +295,70 @@ class TestTemporalDrift:
         assert refresh_indices(DeltaSmape(tau=0.05), frames) == [0, 5, 6, 7, 8, 9]
 
 
+class TestMatchesSeedGenerator:
+    """Lattice-cell noise reproduces the per-pixel formula bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(scene_configs(), st.integers(1, 4))
+    def test_random_scenes(self, config, frame_count):
+        assert_matches_seed_generator(config, frame_count)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**62),
+        st.integers(1, 5),
+        st.integers(1, 70),
+        st.integers(1, 70),
+        st.floats(-1e4, 1e4),
+        st.floats(-1e4, 1e4),
+        st.integers(1, 8),
+        st.integers(2, 50),
+    )
+    def test_noise_planes_float64(self, seed, planes, height, width, dx, dy, octaves, base_cell):
+        # Frames are rounded to float32, which hides most last-bit changes
+        # in the float64 noise; compare the noise itself before rounding.
+        ys = np.arange(height, dtype=np.float64) + dy
+        xs = np.arange(width, dtype=np.float64) + dx
+        salts = [seed + 977 * c for c in range(planes)]
+        noise = workload._fbm(xs, ys, salts, octaves, base_cell)
+        for plane, salt in zip(noise, salts, strict=True):
+            expected = _seed_fbm(xs[None, :], ys[:, None], salt, octaves, base_cell)
+            assert plane.tobytes() == expected.tobytes()
+
+    def test_stream_cached_scene(self):
+        # The 500-frame scene of the perfbench stream_cached workload.
+        config = SceneConfig(seed=7, height=48, width=48, pan_speed=1.0, base_cell=8)
+        assert_matches_seed_generator(config, 500)
+
+    def test_superres_tradeoff_scene(self):
+        # The 192x192 scene superres_tradeoff renders under the default config.
+        config = SceneConfig(
+            seed=0, height=192, width=192, channels=6, pan_speed=3.0, base_cell=48
+        )
+        assert_matches_seed_generator(config, 40)
+
+    def test_lattice_stays_within_twice_the_frame(self):
+        # At 2**13 / 2 lattice cells per pixel a min..max lattice range
+        # would span ~65k points per axis; only touched points are hashed.
+        shapes = []
+        hash01 = workload._hash01
+
+        def recording_hash01(ix, iy, salts):
+            values = hash01(ix, iy, salts)
+            shapes.append(values.shape)
+            return values
+
+        config = SceneConfig(
+            seed=3, channels=8, height=16, width=16, pan_speed=2.5, texture_octaves=14,
+            base_cell=2,
+        )
+        with mock.patch.object(workload, "_hash01", recording_hash01):
+            generate(config, 3)
+        assert len(shapes) == 3 * (14 + 1)
+        assert all(rows <= 32 and cols <= 32 for _, rows, cols in shapes)
+        assert_matches_seed_generator(config, 3)
+
+
 class TestValidation:
     """Config and call validation."""
 
@@ -185,6 +377,17 @@ class TestValidation:
             SceneConfig(pan_direction=(0.0, 0.0))
         with pytest.raises(ValueError):
             SceneConfig(pan_schedule=((0, 1.0),))
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="pan_speed must be finite"):
+                SceneConfig(pan_speed=bad)
+            with pytest.raises(ValueError, match="pan_direction must be finite"):
+                SceneConfig(pan_direction=(bad, 0.0))
+            with pytest.raises(ValueError, match="pan_direction must be finite"):
+                SceneConfig(pan_direction=(1.0, bad))
+            with pytest.raises(ValueError, match="pan_schedule speeds must be finite"):
+                SceneConfig(pan_schedule=((2, 1.0), (3, bad)))
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SceneConfig(seed=-5)
 
     def test_frame_count_positive(self):
         with pytest.raises(ValueError):
