@@ -6,6 +6,11 @@ input). Cached frames run only the live blocks with the stored edge
 tensors substituted. An optional corruption hook rewrites the entries
 right after each refresh, which is how the sanity study replaces the
 cache with zeros, random values or additive noise.
+
+A full-pass memo (full_passes) holds one read-only full pass per frame
+for a network shared by several cache configurations. Handed to
+run_sequence, it supplies the refresh frames' outputs and edge tensors,
+which criterion 01 makes bit-identical to running forward_full again.
 """
 
 import math
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import NetworkSpec, forward_cached, forward_full
+from .netgraph import ForwardRecord, NetworkSpec, forward_cached, forward_full
 from .policies import (
     DeltaSmape,
     PolicyState,
@@ -31,10 +36,12 @@ __all__ = [
     "CacheState",
     "Corruption",
     "FrameRecord",
+    "FullPasses",
     "SequenceReport",
     "baseline_outputs",
     "cache_bytes_report",
     "corrupt_cache",
+    "full_passes",
     "run_sequence",
 ]
 
@@ -144,21 +151,76 @@ class SequenceReport:
         return [f.output for f in self.frames]
 
 
+@dataclass(frozen=True, eq=False)
+class FullPasses:
+    """Read-only full passes of one network over one frame sequence.
+
+    blocks identifies the network; inputs[i] is frame i's input array and
+    records[i] its full pass, whose edge_tensors hold every edge cached by
+    any of the specs the memo was built for.
+    """
+
+    blocks: dict
+    inputs: tuple[np.ndarray, ...]
+    records: tuple[ForwardRecord, ...]
+
+    @property
+    def outputs(self) -> list[np.ndarray]:
+        return [record.output for record in self.records]
+
+
+def full_passes(specs, frames) -> FullPasses:
+    """Run one full pass per frame for specs sharing one network.
+
+    specs differ only in their cache configuration (set_unet_level and
+    replace_cache_config share blocks); each pass records the union of
+    their cached edges. Outputs and edge tensors are made read-only so no
+    run can change what a later run reads.
+    """
+    specs = list(specs)
+    if not specs:
+        raise ValueError("full_passes needs at least one spec")
+    blocks = specs[0].blocks
+    if any(spec.blocks is not blocks for spec in specs):
+        raise ValueError("full_passes needs specs that share one network's blocks")
+    edges = frozenset().union(*(spec.cache_config.cached_edges for spec in specs))
+    inputs, records = [], []
+    for frame in frames:
+        x = frame.input
+        record = forward_full(specs[0], x, edges=edges)
+        record.output.setflags(write=False)
+        for tensor in record.edge_tensors.values():
+            tensor.setflags(write=False)
+        inputs.append(x)
+        records.append(record)
+    return FullPasses(blocks=blocks, inputs=tuple(inputs), records=tuple(records))
+
+
 def run_sequence(
     spec: NetworkSpec,
     frames,
     policy: RefreshPolicy,
     corruption: Corruption | None = None,
+    memo: FullPasses | None = None,
 ) -> SequenceReport:
     """Process frames in order, refreshing the cache per the policy.
 
     frames is any sequence of objects exposing .input (and .motion when the
     policy needs it); both the workload generator's FrameInput and simple
     namespaces work. Refresh frames are bit-identical to a no-cache run.
+    With a memo of the same network and frames, refresh frames take their
+    output and cache entries from it instead of running the network.
     """
     frame_list = list(frames)
     if not frame_list:
         raise ValueError("run_sequence needs at least one frame")
+    if memo is not None:
+        if memo.blocks is not spec.blocks:
+            raise ValueError("memo was computed for another network")
+        if len(memo.records) != len(frame_list):
+            raise ValueError(
+                f"memo holds {len(memo.records)} frames, the sequence {len(frame_list)}"
+            )
     state: PolicyState = initial_state(policy, len(frame_list))
     cache = CacheState(entries={})
     records: list[FrameRecord] = []
@@ -168,9 +230,20 @@ def run_sequence(
         metric = policy_metric(policy, state, frame)
         refreshed = should_refresh(policy, state, frame)
         if refreshed:
-            result = forward_full(spec, frame.input)
+            if memo is None:
+                result = forward_full(spec, frame.input)
+                entries = result.edge_tensors
+            else:
+                if frame.input is not memo.inputs[index]:
+                    raise ValueError(f"frame {index} input is not the memo's input")
+                result = memo.records[index]
+                # The order _execute records edges in, so corruption draws
+                # in the same order as on a pass without the memo.
+                entries = {
+                    name: result.edge_tensors[name] for name in spec.cache_config.cached_edges
+                }
             cache = CacheState(
-                entries=result.edge_tensors,
+                entries=entries,
                 reference_input=frame.input if isinstance(policy, DeltaSmape) else None,
             )
             if corruption is not None:
@@ -199,4 +272,4 @@ def run_sequence(
 
 def baseline_outputs(spec: NetworkSpec, frames) -> list[np.ndarray]:
     """Full-network outputs for every frame (the no-cache reference)."""
-    return [forward_full(spec, frame.input).output for frame in frames]
+    return full_passes([spec], frames).outputs

@@ -9,6 +9,13 @@ so a (RunConfig, seed) pair reproduces its tables bit-identically.
 
 Summary tables are always derived from the same per-frame values emitted
 in the companion frame table, so CSV consumers can recompute every mean.
+
+Scenarios that score cached runs against a no-cache baseline build one
+full-pass memo per network (engine.full_passes) and share it between
+those runs: it is their baseline and supplies their refresh frames, so
+each distinct full pass runs once per scenario. superres_tradeoff keeps
+running its own passes, because a memo of its large network would raise
+the suite's peak memory.
 """
 
 import csv
@@ -30,9 +37,9 @@ from .builders import (
 )
 from .engine import (
     Corruption,
-    baseline_outputs,
     cache_bytes_report,
     CacheState,
+    full_passes,
     run_sequence,
 )
 from .metrics import aggregate, mse
@@ -73,6 +80,8 @@ SCENARIO_NAMES = (
 )
 
 _POLICY_PRESETS = ("delta_l", "delta_h", "n5", "n2", "motion", "nonlinear", "no_update")
+# The preset of the scenarios that take their policy from the config.
+_DEFAULT_POLICY_PRESET = "n5"
 
 
 class ScenarioError(RuntimeError):
@@ -184,6 +193,8 @@ class RunConfig:
 def validate_run_config(cfg: RunConfig) -> None:
     if cfg.scenario != "all" and cfg.scenario not in SCENARIO_NAMES:
         raise ValueError(f"unknown scenario {cfg.scenario!r}; pick from {SCENARIO_NAMES}")
+    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {cfg.seed!r}")
     if cfg.frames is not None and cfg.frames < 1:
         raise ValueError("frames must be >= 1")
     if cfg.warmup < 0:
@@ -191,6 +202,15 @@ def validate_run_config(cfg: RunConfig) -> None:
     preset = cfg.policy.get("preset")
     if preset is not None and preset not in _POLICY_PRESETS:
         raise ValueError(f"unknown policy preset {preset!r}; pick from {_POLICY_PRESETS}")
+    # A preset's policy class does not depend on the horizon.
+    policy_class = type(preset_policy(preset or _DEFAULT_POLICY_PRESET, 1))
+    allowed = [f.name for f in dataclasses.fields(policy_class)]
+    for key in cfg.policy:
+        if key != "preset" and key not in allowed:
+            raise ValueError(
+                f"policy field {key!r} is not a field of {policy_class.__name__}; "
+                f"allowed: {allowed}"
+            )
     for name in cfg.options:
         if name not in SCENARIO_NAMES:
             raise ValueError(f"options key {name!r} is not a scenario name")
@@ -309,14 +329,16 @@ _FRAME_COLUMNS = ("policy", "frame", "refreshed", "flops", "policy_metric", "mse
 _MEAN_MSE = _SUMMARY_COLUMNS.index("mean_mse")
 
 
-def _scored_run(label: str, spec, sequence, policy, baseline, warmup: int, corruption=None):
+def _scored_run(label: str, spec, sequence, policy, memo, warmup: int, corruption=None):
     """Run one sequence and score it against the no-cache baseline.
 
-    Returns the SequenceReport, its summary row (_SUMMARY_COLUMNS) and its
-    per-frame rows (_FRAME_COLUMNS).
+    memo holds the full passes of spec's network over sequence: it feeds
+    the refresh frames and its outputs are the baseline. Returns the
+    SequenceReport, its summary row (_SUMMARY_COLUMNS) and its per-frame
+    rows (_FRAME_COLUMNS).
     """
-    report = run_sequence(spec, sequence, policy, corruption)
-    quality = aggregate(report, baseline, warmup=warmup)
+    report = run_sequence(spec, sequence, policy, corruption, memo=memo)
+    quality = aggregate(report, memo.outputs, warmup=warmup)
     summary = (
         label,
         report.refresh_count,
@@ -365,12 +387,12 @@ def scenario_policy_sweep(cfg: RunConfig) -> list[Table]:
         "presets", ["delta_l", "delta_h", "n5", "n2", "motion", "nonlinear"]
     )
     sequence = generate(scene, frames)
-    baseline = baseline_outputs(spec, sequence)
+    memo = full_passes([spec], sequence)
     summary_rows, frame_rows = [], []
     counts: dict[str, int] = {}
     for preset in presets:
         policy = preset_policy(preset, frames)
-        report, summary, per_frame = _scored_run(preset, spec, sequence, policy, baseline, cfg.warmup)
+        report, summary, per_frame = _scored_run(preset, spec, sequence, policy, memo, cfg.warmup)
         counts[preset] = report.refresh_count
         summary_rows.append(summary)
         frame_rows += per_frame
@@ -406,24 +428,26 @@ def scenario_ablation_levels(cfg: RunConfig) -> list[Table]:
     hw = opts.get("input_hw", 48)
     scene = _scene_config(cfg, height=hw, width=hw, channels=6, pan_speed=0.75)
     sequence = generate(scene, frames)
-    policy = _policy_from_config(cfg, frames, "n5")
+    policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
 
     unet = build_unet(unet_depth, base, (6, hw, hw), seed=cfg.seed)
     unetpp = build_unetpp(unetpp_depth, base, (6, hw, hw), seed=cfg.seed)
-    unet_baseline = baseline_outputs(unet, sequence)
-    unetpp_baseline = baseline_outputs(unetpp, sequence)
-    variants = [("unet", set_unet_level(unet, level), unet_baseline) for level in range(1, unet_depth)]
-    variants += [
-        ("unetpp", replace_cache_config(unetpp, config), unetpp_baseline)
+    unet_specs = [set_unet_level(unet, level) for level in range(1, unet_depth)]
+    unetpp_specs = [
+        replace_cache_config(unetpp, config)
         for config in (unetpp_config_b(unetpp_depth), unetpp_config_a(unetpp_depth))
     ]
+    unet_memo = full_passes(unet_specs, sequence)
+    unetpp_memo = full_passes(unetpp_specs, sequence)
+    variants = [("unet", spec, unet_memo) for spec in unet_specs]
+    variants += [("unetpp", spec, unetpp_memo) for spec in unetpp_specs]
 
     rows, frame_rows = [], []
     level_fracs, level_mse, config_fracs = [], [], {}
-    for family, spec, baseline in variants:
+    for family, spec, memo in variants:
         label = spec.cache_config.label
         frac = spec.cached_flops() / spec.full_flops
-        _, summary, per_frame = _scored_run(label, spec, sequence, policy, baseline, cfg.warmup)
+        _, summary, per_frame = _scored_run(label, spec, sequence, policy, memo, cfg.warmup)
         rows.append((family, label, spec.full_flops, spec.cached_flops(), frac) + summary[1:])
         frame_rows += per_frame
         if family == "unet":
@@ -467,9 +491,9 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     )
     corruption_seed = opts.get("corruption_seed", 3)
     noise_scales = opts.get("noise_scales", [0.5, 2.0])
-    policy = _policy_from_config(cfg, frames, "n5")
+    policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
     sequence = generate(scene, frames)
-    baseline = baseline_outputs(spec, sequence)
+    memo = full_passes([spec], sequence)
 
     modes: list[tuple[str, Corruption | None]] = [
         ("proper", None),
@@ -493,12 +517,13 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     outputs: dict[str, list[np.ndarray]] = {}
     for label, run_policy, corruption in runs:
         report, summary, per_frame = _scored_run(
-            label, spec, sequence, run_policy, baseline, cfg.warmup, corruption
+            label, spec, sequence, run_policy, memo, cfg.warmup, corruption
         )
         summary_rows.append(summary)
         frame_rows += per_frame
         means[label] = summary[_MEAN_MSE]
-        outputs[label] = report.outputs
+        if label in ("proper", "noise_0"):
+            outputs[label] = report.outputs
 
     _require(
         all(np.array_equal(a, b) for a, b in zip(outputs["noise_0"], outputs["proper"])),

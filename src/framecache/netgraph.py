@@ -321,9 +321,9 @@ def replace_cache_config(spec: NetworkSpec, config: CacheConfig) -> NetworkSpec:
 class ForwardRecord:
     """Result of one forward pass.
 
-    edge_tensors holds the producer-side tensor for every cached edge (full
-    passes only); per_level_features maps encoder depth to that block's
-    output when level recording was requested.
+    edge_tensors holds the producer-side tensor for every recorded edge
+    (full passes only); per_level_features maps encoder depth to that
+    block's output when level recording was requested.
     """
 
     output: np.ndarray
@@ -365,7 +365,7 @@ def _execute(
     x: np.ndarray,
     live: frozenset[str] | None,
     cache: dict[str, np.ndarray] | None,
-    record_edges: bool,
+    edges,
     record_levels: bool,
 ) -> ForwardRecord:
     if x.shape != spec.input_shape:
@@ -408,16 +408,23 @@ def _execute(
         executed_blocks=tuple(executed),
         per_level_features=levels if record_levels else None,
     )
-    if record_edges:
-        for edge_name in spec.cache_config.cached_edges:
-            edge = spec.edge_by_name(edge_name)
-            record.edge_tensors[edge_name] = computed[edge.src]
+    for edge_name in edges:
+        edge = spec.edge_by_name(edge_name)
+        record.edge_tensors[edge_name] = computed[edge.src]
     return record
 
 
-def forward_full(spec: NetworkSpec, x: np.ndarray, record_levels: bool = False) -> ForwardRecord:
-    """Evaluate every block; record tensors for the configured cached edges."""
-    return _execute(spec, x, live=None, cache=None, record_edges=True, record_levels=record_levels)
+def forward_full(
+    spec: NetworkSpec, x: np.ndarray, record_levels: bool = False, edges=None
+) -> ForwardRecord:
+    """Evaluate every block; record tensors for the named edges.
+
+    edges defaults to the configured cached edges, recorded in the
+    iteration order of that frozenset.
+    """
+    if edges is None:
+        edges = spec.cache_config.cached_edges
+    return _execute(spec, x, live=None, cache=None, edges=edges, record_levels=record_levels)
 
 
 def forward_cached(
@@ -429,7 +436,7 @@ def forward_cached(
         x,
         live=spec.cache_config.live_blocks,
         cache=cache,
-        record_edges=False,
+        edges=(),
         record_levels=False,
     )
 

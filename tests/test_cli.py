@@ -149,6 +149,34 @@ class TestErrorHandling:
         assert result.returncode == 2
         assert "unknown network kind" in result.stderr
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"seed": -5}, "seed"),
+            ({"seed": "x"}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"policy": {"preset": "delta_h", "n": 3}}, "policy field 'n'"),
+            ({"policy": {"tau": 0.1}}, "policy field 'tau'"),
+        ],
+    )
+    def test_bad_field_rejected_before_any_scenario(self, tmp_path, fields, named):
+        config = write_config(tmp_path, **fields)
+        out_dir = tmp_path / "out"
+        result = run_cli("run", "--config", str(config), "--scenario", "all", "--out", str(out_dir))
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1 and named in result.stderr
+        assert not out_dir.exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path):
+        config = write_config(tmp_path)
+        out_dir = tmp_path / "out"
+        result = run_cli(
+            "run", "--config", str(config), "--scenario", "all", "--seed", "-5", "--out", str(out_dir)
+        )
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1 and "seed" in result.stderr
+        assert not out_dir.exists()
+
     def test_missing_subcommand(self):
         result = run_cli()
         assert result.returncode == 2

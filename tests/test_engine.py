@@ -5,13 +5,24 @@ refresh frames and on constant scenes are bit-level because cached passes
 replay the same arithmetic as full passes.
 """
 
+import functools
 import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from framecache.builders import build_unet, set_unet_level
+from framecache import engine
+from framecache.builders import (
+    build_superres,
+    build_unet,
+    build_unetpp,
+    set_unet_level,
+    unetpp_config_a,
+    unetpp_config_b,
+)
 from framecache.engine import (
     BYTES_PER_VALUE,
     CacheState,
@@ -19,10 +30,18 @@ from framecache.engine import (
     baseline_outputs,
     cache_bytes_report,
     corrupt_cache,
+    full_passes,
     run_sequence,
 )
 from framecache.metrics import aggregate
-from framecache.policies import DeltaSmape, EveryN, MotionThreshold, NonLinearSchedule
+from framecache.netgraph import replace_cache_config
+from framecache.policies import (
+    DeltaSmape,
+    EveryN,
+    MotionThreshold,
+    NonLinearSchedule,
+    preset_policy,
+)
 from framecache.workload import SceneConfig, generate
 
 STILL_SCENE = SceneConfig(seed=5, channels=6, height=16, width=16, pan_speed=0.0, sprite_count=0)
@@ -279,3 +298,122 @@ class TestRunWithCorruption:
             not np.array_equal(first.outputs[i], second.outputs[i]) for i in cached
         )
 
+
+
+MEMO_FRAMES = 8
+PRESETS = ("delta_l", "delta_h", "n5", "n2", "motion", "nonlinear", "no_update")
+CORRUPTION_KINDS = ("zero", "uniform_random", "normal_random", "noise")
+
+
+@functools.cache
+def memo_case(family):
+    """Specs sharing one network, the drifting frames and their memo."""
+    if family == "unet":
+        unet = build_unet(3, 4, (6, 16, 16), seed=4)
+        specs = [set_unet_level(unet, level) for level in (1, 2)]
+    elif family == "unetpp":
+        unetpp = build_unetpp(2, 4, (6, 16, 16), seed=4)
+        specs = [replace_cache_config(unetpp, c) for c in (unetpp_config_b(2), unetpp_config_a(2))]
+    else:
+        specs = [build_superres((6, 16, 16), base_channels=4, lr_pool=1, seed=4)]
+    frames = generate(DRIFT_SCENE, MEMO_FRAMES).frames
+    return specs, frames, full_passes(specs, frames)
+
+
+def run_recording_entries(spec, frames, policy, corruption, memo):
+    """run_sequence plus the cache-entry key order each cached frame reads."""
+    keys = []
+    forward_cached = engine.forward_cached
+
+    def recording(spec_, x, cache):
+        keys.append(list(cache))
+        return forward_cached(spec_, x, cache)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "forward_cached", recording)
+        report = run_sequence(spec, frames, policy, corruption, memo=memo)
+    return report, keys
+
+
+class TestFullPassMemo:
+    """A memo replaces refresh-frame full passes without changing a bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from([("unet", 0), ("unet", 1), ("unetpp", 0), ("unetpp", 1), ("superres", 0)]),
+        policy=st.one_of(
+            st.sampled_from(PRESETS).map(lambda name: preset_policy(name, MEMO_FRAMES)),
+            st.integers(1, MEMO_FRAMES + 1).map(EveryN),
+        ),
+        corruption=st.one_of(
+            st.none(),
+            st.builds(
+                Corruption,
+                kind=st.sampled_from(CORRUPTION_KINDS),
+                sigma_scale=st.sampled_from([0.0, 0.5, 2.0]),
+                seed=st.integers(0, 99),
+            ),
+        ),
+    )
+    def test_memoized_run_matches_plain_run(self, case, policy, corruption):
+        family, index = case
+        specs, frames, memo = memo_case(family)
+        spec = specs[index]
+        plain, plain_keys = run_recording_entries(spec, frames, policy, corruption, None)
+        memoized, memo_keys = run_recording_entries(spec, frames, policy, corruption, memo)
+        assert memo_keys == plain_keys
+        assert memoized.cache_bytes == plain.cache_bytes
+        assert memoized.refresh_count == plain.refresh_count
+        for a, b in zip(memoized.frames, plain.frames, strict=True):
+            assert (a.refreshed, a.flops, a.policy_metric) == (b.refreshed, b.flops, b.policy_metric)
+            assert a.output.dtype == b.output.dtype and a.output.tobytes() == b.output.tobytes()
+
+    def test_memo_hit_runs_no_full_pass(self, monkeypatch):
+        calls = []
+        forward_full = engine.forward_full
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return forward_full(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "forward_full", counting)
+        unet = build_unet(3, 4, (6, 16, 16), seed=4)
+        specs = [set_unet_level(unet, level) for level in (1, 2)]
+        frames = generate(DRIFT_SCENE, MEMO_FRAMES).frames
+        memo = full_passes(specs, frames)
+        assert len(calls) == MEMO_FRAMES
+        calls.clear()
+        for spec in specs:
+            report = run_sequence(spec, frames, EveryN(2), memo=memo)
+            assert report.refresh_count == MEMO_FRAMES // 2
+        assert calls == []
+        run_sequence(specs[0], frames, EveryN(2))
+        assert len(calls) == MEMO_FRAMES // 2
+
+    def test_memo_arrays_are_read_only(self):
+        specs, frames, memo = memo_case("unet")
+        snapshot = [
+            [record.output.copy()] + [t.copy() for t in record.edge_tensors.values()]
+            for record in memo.records
+        ]
+        run_sequence(specs[0], frames, EveryN(3), Corruption("noise", sigma_scale=0.0), memo=memo)
+        for record, saved in zip(memo.records, snapshot, strict=True):
+            arrays = [record.output] + list(record.edge_tensors.values())
+            for array, copy in zip(arrays, saved, strict=True):
+                assert np.array_equal(array, copy)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+
+    def test_mismatches_rejected(self):
+        specs, frames, memo = memo_case("unet")
+        spec = specs[0]
+        other = set_unet_level(build_unet(3, 4, (6, 16, 16), seed=4), 1)
+        with pytest.raises(ValueError, match="another network"):
+            run_sequence(other, frames, EveryN(2), memo=memo)
+        with pytest.raises(ValueError, match="memo holds 8 frames, the sequence 7"):
+            run_sequence(spec, frames[:-1], EveryN(2), memo=memo)
+        moved = [types.SimpleNamespace(input=f.input.copy(), motion=f.motion) for f in frames]
+        with pytest.raises(ValueError, match="frame 0 input"):
+            run_sequence(spec, moved, EveryN(2), memo=memo)
+        with pytest.raises(ValueError, match="share one network"):
+            full_passes([spec, other], frames)

@@ -13,7 +13,7 @@ import pytest
 
 import framecache.harness as harness
 from framecache.builders import build_unet
-from framecache.engine import baseline_outputs
+from framecache.engine import full_passes
 from framecache.harness import (
     RunConfig,
     ScenarioError,
@@ -178,8 +178,9 @@ class TestScoredRun:
         spec = build_unet(2, 4, (6, 16, 16), seed=3)
         scene = SceneConfig(seed=2, channels=6, height=16, width=16, pan_speed=2.0, base_cell=8)
         frames = generate(scene, 6).frames
-        baseline = baseline_outputs(spec, frames)
-        report, summary, frame_rows = harness._scored_run("n3", spec, frames, EveryN(3), baseline, 0)
+        memo = full_passes([spec], frames)
+        baseline = memo.outputs
+        report, summary, frame_rows = harness._scored_run("n3", spec, frames, EveryN(3), memo, 0)
         summary = dict(zip(harness._SUMMARY_COLUMNS, summary))
         rows = [dict(zip(harness._FRAME_COLUMNS, row)) for row in frame_rows]
         assert [row["frame"] for row in rows] == list(range(6))
