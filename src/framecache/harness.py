@@ -190,27 +190,50 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
 
+_NETWORK_INT_FIELDS = ("depth", "base_channels", "lr_pool", "out_channels", "seed")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_run_config(cfg: RunConfig) -> None:
     if cfg.scenario != "all" and cfg.scenario not in SCENARIO_NAMES:
         raise ValueError(f"unknown scenario {cfg.scenario!r}; pick from {SCENARIO_NAMES}")
-    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
+    if not _is_int(cfg.seed) or cfg.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {cfg.seed!r}")
     if cfg.frames is not None and cfg.frames < 1:
         raise ValueError("frames must be >= 1")
     if cfg.warmup < 0:
         raise ValueError("warmup must be >= 0")
-    preset = cfg.policy.get("preset")
-    if preset is not None and preset not in _POLICY_PRESETS:
+    for key in _NETWORK_INT_FIELDS:
+        if key in cfg.network and not _is_int(cfg.network[key]):
+            raise ValueError(f"network.{key} must be an integer, got {cfg.network[key]!r}")
+    if "input_shape" in cfg.network:
+        shape = cfg.network["input_shape"]
+        if not (isinstance(shape, (list, tuple)) and len(shape) == 3 and all(map(_is_int, shape))):
+            raise ValueError(f"network.input_shape must be three integers, got {shape!r}")
+    preset = cfg.policy.get("preset", _DEFAULT_POLICY_PRESET)
+    if preset not in _POLICY_PRESETS:
         raise ValueError(f"unknown policy preset {preset!r}; pick from {_POLICY_PRESETS}")
     # A preset's policy class does not depend on the horizon.
-    policy_class = type(preset_policy(preset or _DEFAULT_POLICY_PRESET, 1))
-    allowed = [f.name for f in dataclasses.fields(policy_class)]
-    for key in cfg.policy:
-        if key != "preset" and key not in allowed:
+    policy = preset_policy(preset, 1)
+    fields = {f.name: f.type for f in dataclasses.fields(policy)}
+    overrides = {key: value for key, value in cfg.policy.items() if key != "preset"}
+    for key, value in overrides.items():
+        if key not in fields:
             raise ValueError(
-                f"policy field {key!r} is not a field of {policy_class.__name__}; "
-                f"allowed: {allowed}"
+                f"policy field {key!r} is not a field of {type(policy).__name__}; "
+                f"allowed: {list(fields)}"
             )
+        # A float field takes an integer too, such as "tau": 1 for 1.0.
+        allowed = (int, float) if fields[key] is float else fields[key]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"policy.{key} must be {fields[key].__name__}, got {value!r}")
+    try:
+        dataclasses.replace(policy, **overrides)
+    except ValueError as err:
+        raise ValueError(f"policy: {err}") from None
     for name in cfg.options:
         if name not in SCENARIO_NAMES:
             raise ValueError(f"options key {name!r} is not a scenario name")
@@ -234,7 +257,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         kwargs["scene"] = scene
     if "network" in kwargs and kwargs["network"] is not None:
         network = dict(kwargs["network"])
-        if "input_shape" in network:
+        if isinstance(network.get("input_shape"), list):
             network["input_shape"] = tuple(network["input_shape"])
         kwargs["network"] = network
     for key in ("network", "policy", "scene", "options"):

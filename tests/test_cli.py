@@ -157,6 +157,15 @@ class TestErrorHandling:
             ({"seed": True}, "seed"),
             ({"policy": {"preset": "delta_h", "n": 3}}, "policy field 'n'"),
             ({"policy": {"tau": 0.1}}, "policy field 'tau'"),
+            ({"policy": {"preset": None}}, "policy preset None"),
+            ({"policy": {"n": "x"}}, "policy.n"),
+            ({"policy": {"preset": "delta_h", "tau": True}}, "policy.tau"),
+            ({"policy": {"n": 0}}, "n >= 1"),
+            ({"network": {"depth": "x"}}, "network.depth"),
+            ({"network": {"base_channels": 8.0}}, "network.base_channels"),
+            ({"network": {"kind": "superres", "lr_pool": True}}, "network.lr_pool"),
+            ({"network": {"input_shape": [6, "48", 48]}}, "network.input_shape"),
+            ({"network": {"input_shape": 48}}, "network.input_shape"),
         ],
     )
     def test_bad_field_rejected_before_any_scenario(self, tmp_path, fields, named):

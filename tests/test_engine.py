@@ -34,7 +34,7 @@ from framecache.engine import (
     run_sequence,
 )
 from framecache.metrics import aggregate
-from framecache.netgraph import replace_cache_config
+from framecache.netgraph import forward_cached, forward_full, replace_cache_config
 from framecache.policies import (
     DeltaSmape,
     EveryN,
@@ -326,7 +326,7 @@ def run_recording_entries(spec, frames, policy, corruption, memo):
     forward_cached = engine.forward_cached
 
     def recording(spec_, x, cache):
-        keys.append(list(cache))
+        keys.append(list(cache.entries))
         return forward_cached(spec_, x, cache)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -417,3 +417,78 @@ class TestFullPassMemo:
             run_sequence(spec, moved, EveryN(2), memo=memo)
         with pytest.raises(ValueError, match="share one network"):
             full_passes([spec, other], frames)
+
+
+OPERAND_CASES = [("unet", 1), ("unet", 2), ("unet", 3), ("unetpp", "a"), ("unetpp", "b")]
+OPERAND_CASES += [("superres", pool) for pool in (0, 1, 2)]
+
+
+@functools.cache
+def operand_case(case):
+    """A spec with kept blocks, the drifting frames and their memo."""
+    family, variant = case
+    if family == "unet":
+        spec = set_unet_level(build_unet(4, 4, (6, 16, 16), seed=4), variant)
+    elif family == "unetpp":
+        config = unetpp_config_a(2) if variant == "a" else unetpp_config_b(2)
+        spec = replace_cache_config(build_unetpp(2, 4, (6, 16, 16), seed=4), config)
+    else:
+        spec = build_superres((6, 16, 16), base_channels=4, lr_pool=variant, seed=4)
+    frames = generate(DRIFT_SCENE, MEMO_FRAMES).frames
+    return spec, frames, full_passes([spec], frames)
+
+
+class TestKeptOperands:
+    """Operands kept across cached frames change no output bit.
+
+    The oracle runs every frame afresh: a full pass on refresh frames, and
+    on cached frames forward_cached on a plain dict of the entries a
+    refresh leaves, which builds every im2col row again.
+    """
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from(OPERAND_CASES),
+        policy=st.one_of(
+            st.sampled_from(PRESETS).map(lambda name: preset_policy(name, MEMO_FRAMES)),
+            st.integers(1, 4).map(EveryN),
+        ),
+        corruption=st.one_of(
+            st.none(),
+            st.builds(
+                Corruption,
+                kind=st.sampled_from(CORRUPTION_KINDS),
+                sigma_scale=st.sampled_from([0.0, 0.5]),
+                seed=st.integers(0, 99),
+            ),
+        ),
+        use_memo=st.booleans(),
+    )
+    def test_run_matches_fresh_passes(self, case, policy, corruption, use_memo):
+        spec, frames, memo = operand_case(case)
+        report = run_sequence(spec, frames, policy, corruption, memo=memo if use_memo else None)
+        entries = None
+        for frame, rec in zip(frames, report.frames, strict=True):
+            if rec.refreshed:
+                full = forward_full(spec, frame.input)
+                expected = full.output
+                entries = full.edge_tensors
+                if corruption is not None:
+                    rng = np.random.default_rng([corruption.seed, rec.index])
+                    entries = corrupt_cache(CacheState(entries=entries), corruption, rng).entries
+            else:
+                expected = forward_cached(spec, frame.input, dict(entries)).output
+            assert rec.output.dtype == expected.dtype
+            assert rec.output.tobytes() == expected.tobytes(), (rec.index, rec.refreshed)
+
+    def test_cached_passes_keep_one_operand_per_kept_block(self):
+        spec, frames, _ = operand_case(("unetpp", "a"))
+        entries = forward_full(spec, frames[0].input).edge_tensors
+        state = CacheState(entries=entries)
+        for frame in frames[1:]:
+            got = forward_cached(spec, frame.input, state).output
+            assert got.tobytes() == forward_cached(spec, frame.input, dict(entries)).output.tobytes()
+        kept = {block.name for block, _ in state.operands.buffers}
+        assert kept == {"x0.2"}
+        assert state.operands.current == set(state.operands.buffers)
+        assert cache_bytes_report(state) == cache_bytes_report(CacheState(entries=entries))

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from framecache import netgraph
+from framecache import engine, netgraph
 from framecache.builders import (
     build_multibranch,
     build_superres,
@@ -40,6 +40,8 @@ from framecache.netgraph import (
     spec_to_json,
 )
 from framecache.ops import ConvParams
+from framecache.policies import DeltaSmape, EveryN
+from framecache.workload import SceneConfig, generate
 
 
 def conv_cost(kernel, in_c, out_c, h, w):
@@ -365,6 +367,43 @@ class TestConvInstrumentationContract:
         live = convs(spec.cache_config.live_blocks)
         assert len(calls) == len(live) == 5
         assert {id(p) for p in calls} == {id(p) for p in live}
+
+    @pytest.mark.parametrize("policy", [EveryN(3), DeltaSmape(0.2)])
+    def test_one_call_per_conv_through_the_sequence_runner(self, monkeypatch, policy):
+        # run_sequence hands forward_cached its cache state, whose kept
+        # operands go to conv2d in place of a map: still one call per conv.
+        calls = []
+        original = netgraph.conv2d
+
+        def counting_conv2d(x, params):
+            calls.append(params)
+            return original(x, params)
+
+        passes = []
+        for name in ("forward_full", "forward_cached"):
+            inner = getattr(engine, name)
+
+            def delimited(*args, _inner=inner, _name=name, **kwargs):
+                start = len(calls)
+                result = _inner(*args, **kwargs)
+                passes.append((_name, calls[start:]))
+                return result
+
+            monkeypatch.setattr(engine, name, delimited)
+        monkeypatch.setattr(netgraph, "conv2d", counting_conv2d)
+        spec = build_superres((6, 16, 16), base_channels=4, lr_pool=1, seed=2)
+        frames = generate(SceneConfig(seed=1, channels=6, height=16, width=16, pan_speed=1.0), 10)
+        report = engine.run_sequence(spec, frames.frames, policy)
+
+        def convs(names):
+            return [op for n in names for op in spec.blocks[n].ops if isinstance(op, ConvParams)]
+
+        kinds = [name for name, _ in passes]
+        assert kinds == ["forward_full" if f.refreshed else "forward_cached" for f in report.frames]
+        assert kinds.count("forward_cached") >= 2
+        for name, made in passes:
+            expected = convs(spec.blocks if name == "forward_full" else spec.cache_config.live_blocks)
+            assert sorted(map(id, made)) == sorted(map(id, expected))
 
 
 class TestSubstitutionEquivalence:

@@ -25,7 +25,9 @@ from framecache.ops import (
     concat_channels,
     conv2d,
     conv_flops,
+    conv_operand,
     conv_output_hw,
+    im2col,
     maxpool2,
     relu,
     repeat_nearest,
@@ -253,6 +255,49 @@ class TestConv2dMatchesSeedKernel:
         rng = np.random.default_rng(in_c * 100 + out_c)
         params = random_params(rng, in_c, out_c, kernel, padding=padding)
         assert_bitwise_seed_match(_input_of_kind(rng, kind, (in_c, 48, 48)), params)
+
+
+class TestIm2colRowRanges:
+    """An operand filled range by range gives the one-call result bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(conv_cases(), st.data())
+    def test_filled_in_ranges_matches_seed_kernel(self, case, data):
+        x, params = case
+        c = params.in_channels
+        cuts = sorted(data.draw(st.sets(st.integers(1, c - 1), max_size=c - 1)) if c > 1 else [])
+        bounds = list(zip([0] + cuts, cuts + [c]))
+        cols = conv_operand(params, x.shape[1], x.shape[2])
+        cols.fill(np.nan)
+        for c0, c1 in data.draw(st.permutations(bounds)):
+            im2col(x[c0:c1], params, cols, c0)
+        out = conv2d(cols, params)
+        old = _seed_conv2d(x, params)
+        assert np.array_equal(out.view(np.uint32), old.view(np.uint32))
+
+    def test_rewriting_one_range_tracks_that_input(self):
+        rng = np.random.default_rng(8)
+        params = random_params(rng, 24, 8, 3, padding=1)
+        x = rng.standard_normal((24, 12, 12)).astype(np.float32)
+        cols = conv_operand(params, 12, 12)
+        im2col(x, params, cols)
+        x[16:] = rng.standard_normal((8, 12, 12)).astype(np.float32)
+        im2col(x[16:], params, cols, 16)
+        assert np.array_equal(conv2d(cols, params), conv2d(x, params))
+
+    def test_rejects_foreign_operands_and_ranges(self):
+        rng = np.random.default_rng(9)
+        params = random_params(rng, 4, 2, 3, padding=1)
+        cols = conv_operand(params, 6, 6)
+        with pytest.raises(ValueError, match="exceed"):
+            im2col(np.zeros((2, 6, 6), dtype=np.float32), params, cols, 3)
+        with pytest.raises(ValueError, match="does not fit"):
+            im2col(np.zeros((2, 8, 8), dtype=np.float32), params, cols, 0)
+        other = random_params(rng, 4, 2, 1)
+        with pytest.raises(ValueError, match="does not belong"):
+            conv2d(cols, other)
+        with pytest.raises(ValueError, match="does not belong"):
+            conv2d(cols.astype(np.float32), params)
 
 
 class TestConvParamsCopies:
