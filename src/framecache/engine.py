@@ -3,12 +3,9 @@
 Refresh frames run the full network and atomically replace the cache
 (entry tensors plus, for input-delta policies, the retained reference
 input). Cached frames run only the live blocks with the stored edge
-tensors substituted. One ConvOperands per run keeps the float64 im2col
-operands of the live blocks that read cached edges: refresh frames' full
-passes build them, and cached frames rewrite only their live rows. An
-optional corruption hook rewrites the entries right after each refresh,
-which is how the sanity study replaces the cache with zeros, random
-values or additive noise.
+tensors substituted. An optional corruption hook rewrites the entries
+right after each refresh, which is how the sanity study replaces the
+cache with zeros, random values or additive noise.
 
 A full-pass memo (full_passes) holds one read-only full pass per frame
 for a network shared by several cache configurations. Handed to
@@ -17,11 +14,11 @@ which criterion 01 makes bit-identical to running forward_full again.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import ConvOperands, ForwardRecord, NetworkSpec, forward_cached, forward_full
+from .netgraph import ForwardRecord, NetworkSpec, forward_cached, forward_full
 from .policies import (
     DeltaSmape,
     PolicyState,
@@ -51,26 +48,14 @@ __all__ = [
 
 @dataclass(eq=False)
 class CacheState:
-    """Stored producer-side edge tensors plus the input-delta reference.
-
-    operands is a workspace derived from entries: the float64 im2col
-    operands that forward_cached keeps for live blocks reading cached edges.
-    The rows it marks current match these entries, so change the cache by
-    making a new CacheState, not by editing entries in place. run_sequence
-    hands one ConvOperands to every CacheState of a run and marks it stale
-    whenever no full pass has just built it from the new entries.
-    """
+    """Stored producer-side edge tensors plus the input-delta reference."""
 
     entries: dict[str, np.ndarray]
     reference_input: np.ndarray | None = None
-    operands: ConvOperands = field(default_factory=ConvOperands)
 
 
 def cache_bytes_report(state: CacheState) -> int:
-    """Resident cache size: 4 bytes per stored value, reference included.
-
-    The operands workspace is derived from the entries and is not counted.
-    """
+    """Resident cache size: 4 bytes per stored value, reference included."""
     total = sum(entry.size for entry in state.entries.values())
     if state.reference_input is not None:
         total += state.reference_input.size
@@ -102,10 +87,7 @@ class Corruption:
 def corrupt_cache(
     state: CacheState, mode: Corruption, rng: np.random.Generator | None = None
 ) -> CacheState:
-    """Return a CacheState with rewritten entries and its own empty operands.
-
-    Shapes are preserved.
-    """
+    """Return a CacheState with rewritten entries; shapes are preserved."""
     if not state.entries:
         raise ValueError("cannot corrupt an empty cache")
     if rng is None:
@@ -241,9 +223,6 @@ def run_sequence(
             )
     state: PolicyState = initial_state(policy, len(frame_list))
     cache = CacheState(entries={})
-    # One set of kept operands for the whole run: the refresh frames' full
-    # passes build them in place of their own im2col temporaries.
-    operands = ConvOperands()
     records: list[FrameRecord] = []
     refresh_count = 0
     full_flops = spec.full_flops
@@ -252,7 +231,7 @@ def run_sequence(
         refreshed = should_refresh(policy, state, frame)
         if refreshed:
             if memo is None:
-                result = forward_full(spec, frame.input, operands=operands)
+                result = forward_full(spec, frame.input)
                 entries = result.edge_tensors
             else:
                 if frame.input is not memo.inputs[index]:
@@ -263,20 +242,16 @@ def run_sequence(
                 entries = {
                     name: result.edge_tensors[name] for name in spec.cache_config.cached_edges
                 }
-            if corruption is not None:
-                rng = np.random.default_rng([corruption.seed, index])
-                entries = corrupt_cache(CacheState(entries=entries), corruption, rng).entries
-            if memo is not None or corruption is not None:
-                # No full pass built the kept operands from these entries.
-                operands.current.clear()
             cache = CacheState(
                 entries=entries,
                 reference_input=frame.input if isinstance(policy, DeltaSmape) else None,
-                operands=operands,
             )
+            if corruption is not None:
+                rng = np.random.default_rng([corruption.seed, index])
+                cache = corrupt_cache(cache, corruption, rng)
             refresh_count += 1
         else:
-            result = forward_cached(spec, frame.input, cache)
+            result = forward_cached(spec, frame.input, cache.entries)
         record_result(policy, state, frame, refreshed)
         records.append(
             FrameRecord(

@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -197,15 +198,34 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _fits(value, kind) -> bool:
+    """Whether a config value has a field's type: int (not bool), float
+    (an int too, such as 1 for 1.0), or a tuple of those."""
+    if kind is float:
+        return _is_int(value) or isinstance(value, float)
+    if kind is int:
+        return _is_int(value)
+    items = typing.get_args(kind)
+    if not isinstance(value, tuple):
+        return False
+    if items[-1] is Ellipsis:
+        return all(_fits(item, items[0]) for item in value)
+    return len(value) == len(items) and all(map(_fits, value, items))
+
+
+def _type_name(kind) -> str:
+    return kind.__name__ if isinstance(kind, type) else str(kind)
+
+
 def validate_run_config(cfg: RunConfig) -> None:
     if cfg.scenario != "all" and cfg.scenario not in SCENARIO_NAMES:
         raise ValueError(f"unknown scenario {cfg.scenario!r}; pick from {SCENARIO_NAMES}")
     if not _is_int(cfg.seed) or cfg.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {cfg.seed!r}")
-    if cfg.frames is not None and cfg.frames < 1:
-        raise ValueError("frames must be >= 1")
-    if cfg.warmup < 0:
-        raise ValueError("warmup must be >= 0")
+    if cfg.frames is not None and not (_is_int(cfg.frames) and cfg.frames >= 1):
+        raise ValueError(f"frames must be an integer >= 1, got {cfg.frames!r}")
+    if not (_is_int(cfg.warmup) and cfg.warmup >= 0):
+        raise ValueError(f"warmup must be an integer >= 0, got {cfg.warmup!r}")
     for key in _NETWORK_INT_FIELDS:
         if key in cfg.network and not _is_int(cfg.network[key]):
             raise ValueError(f"network.{key} must be an integer, got {cfg.network[key]!r}")
@@ -226,17 +246,32 @@ def validate_run_config(cfg: RunConfig) -> None:
                 f"policy field {key!r} is not a field of {type(policy).__name__}; "
                 f"allowed: {list(fields)}"
             )
-        # A float field takes an integer too, such as "tau": 1 for 1.0.
-        allowed = (int, float) if fields[key] is float else fields[key]
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ValueError(f"policy.{key} must be {fields[key].__name__}, got {value!r}")
+        if not _fits(value, fields[key]):
+            raise ValueError(f"policy.{key} must be {_type_name(fields[key])}, got {value!r}")
     try:
         dataclasses.replace(policy, **overrides)
     except ValueError as err:
         raise ValueError(f"policy: {err}") from None
+    scene_fields = {f.name: f.type for f in dataclasses.fields(SceneConfig)}
+    for key, value in cfg.scene.items():
+        if key not in scene_fields:
+            raise ValueError(
+                f"scene field {key!r} is not a field of SceneConfig; allowed: {list(scene_fields)}"
+            )
+        if not _fits(value, scene_fields[key]):
+            raise ValueError(f"scene.{key} must be {_type_name(scene_fields[key])}, got {value!r}")
+    try:
+        SceneConfig(**{"seed": cfg.seed, **cfg.scene})
+    except ValueError as err:
+        raise ValueError(f"scene: {err}") from None
     for name in cfg.options:
         if name not in SCENARIO_NAMES:
             raise ValueError(f"options key {name!r} is not a scenario name")
+
+
+def _tuples(value):
+    """A JSON array, nested ones included, as tuples."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
@@ -247,22 +282,13 @@ def run_config_from_dict(data: dict) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     kwargs = {k: v for k, v in data.items() if k in known}
-    if "scene" in kwargs and kwargs["scene"] is not None:
-        scene = dict(kwargs["scene"])
-        for key in ("pan_direction",):
-            if key in scene:
-                scene[key] = tuple(scene[key])
-        if "pan_schedule" in scene:
-            scene["pan_schedule"] = tuple(tuple(seg) for seg in scene["pan_schedule"])
-        kwargs["scene"] = scene
-    if "network" in kwargs and kwargs["network"] is not None:
-        network = dict(kwargs["network"])
-        if isinstance(network.get("input_shape"), list):
-            network["input_shape"] = tuple(network["input_shape"])
-        kwargs["network"] = network
     for key in ("network", "policy", "scene", "options"):
         if kwargs.get(key) is None:
             kwargs[key] = {}
+        elif not isinstance(kwargs[key], dict):
+            raise ValueError(f"{key} must be a JSON object, got {kwargs[key]!r}")
+    for key in ("network", "scene"):
+        kwargs[key] = {name: _tuples(value) for name, value in kwargs[key].items()}
     cfg = RunConfig(**kwargs)
     validate_run_config(cfg)
     return cfg

@@ -10,7 +10,6 @@ frames and substituted at the consumer slots afterwards.
 """
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,9 +19,7 @@ from .ops import (
     concat_channels,
     conv2d,
     conv_flops,
-    conv_operand,
     conv_output_hw,
-    im2col,
     maxpool2,
     relu,
     upsample_nearest2,
@@ -363,62 +360,6 @@ def _is_encoder(ident: BlockId) -> bool:
     return ident.kind in (KIND_UNET, KIND_UNETPP) and ident.index == 0
 
 
-def _source_shape(spec: NetworkSpec, edge: Edge) -> tuple[int, int, int]:
-    return spec.input_shape if edge.src == INPUT else spec.shapes[edge.src]
-
-
-def _slot_input(spec: NetworkSpec, edge: Edge, computed: dict, cache) -> np.ndarray:
-    if edge.src in computed:
-        return computed[edge.src]
-    if cache is None or edge.name not in cache:
-        raise ValueError(f"missing cache entry for edge {edge.name}")
-    value = cache[edge.name]
-    expected = _source_shape(spec, edge)
-    if value.shape != expected:
-        raise ValueError(
-            f"cache entry for {edge.name} has shape {value.shape}, expected {expected}"
-        )
-    return value
-
-
-@dataclass(eq=False)
-class ConvOperands:
-    """Float64 im2col operands kept between passes over one network.
-
-    A kept block is a live block whose first op is a conv and which reads a
-    cached edge. buffers maps each kept block (with the names of the cached
-    edges it reads) to its first conv's operand; current holds the keys
-    whose every row matches the present cache entries. A full pass rebuilds
-    every row of its kept blocks' operands, a cached pass only those of
-    operands not in current, and otherwise only the rows of slots fed by
-    live blocks or the input.
-    """
-
-    buffers: dict = field(default_factory=dict)
-    current: set = field(default_factory=set)
-
-
-def _kept_operand(spec, block, slot_edges, computed, cache, operands, key, rebuild):
-    """The first conv's operand of a kept block, with its stale rows rewritten.
-
-    rebuild rewrites every row; so does an operand that is not current.
-    """
-    conv = block.ops[0]
-    cols = operands.buffers.get(key)
-    if cols is None:
-        _, h, w = _slot_shape(block.slot_ops[0], _source_shape(spec, slot_edges[0]), block.name)
-        cols = operands.buffers[key] = conv_operand(conv, h, w)
-    rebuild = rebuild or key not in operands.current
-    channel = 0
-    for edge, slot_op in zip(slot_edges, block.slot_ops):
-        if rebuild or edge.name not in key[1]:
-            part = _apply_slot_op(slot_op, _slot_input(spec, edge, computed, cache))
-            im2col(part, conv, cols, channel)
-        channel += _source_shape(spec, edge)[0]
-    operands.current.add(key)
-    return cols
-
-
 def _execute(
     spec: NetworkSpec,
     x: np.ndarray,
@@ -426,7 +367,6 @@ def _execute(
     cache: dict[str, np.ndarray] | None,
     edges,
     record_levels: bool,
-    operands: ConvOperands | None = None,
 ) -> ForwardRecord:
     if x.shape != spec.input_shape:
         raise ValueError(f"input shape {x.shape} does not match spec {spec.input_shape}")
@@ -439,24 +379,23 @@ def _execute(
         if live is not None and name not in live:
             continue
         block = spec.blocks[name]
-        slot_edges = [by_slot[(name, slot)] for slot in range(len(block.slot_ops))]
-        kept = None
-        if operands is not None and isinstance(block.ops[0], ConvParams):
-            config = spec.cache_config
-            cached = tuple(e.name for e in slot_edges if e.name in config.cached_edges)
-            if cached and name in config.live_blocks:
-                kept = (block, cached)
-        if kept is not None:
-            # conv2d takes the kept operand in place of the merged map.
-            merged = _kept_operand(
-                spec, block, slot_edges, computed, cache, operands, kept, rebuild=live is None
-            )
-        else:
-            parts = [
-                _apply_slot_op(slot_op, _slot_input(spec, edge, computed, cache))
-                for edge, slot_op in zip(slot_edges, block.slot_ops)
-            ]
-            merged = parts[0] if len(parts) == 1 else concat_channels(parts)
+        parts = []
+        for slot, slot_op in enumerate(block.slot_ops):
+            edge = by_slot[(name, slot)]
+            if edge.src in computed:
+                value = computed[edge.src]
+            else:
+                if cache is None or edge.name not in cache:
+                    raise ValueError(f"missing cache entry for edge {edge.name}")
+                value = cache[edge.name]
+                expected = spec.shapes[edge.src]
+                if value.shape != expected:
+                    raise ValueError(
+                        f"cache entry for {edge.name} has shape {value.shape}, "
+                        f"expected {expected}"
+                    )
+            parts.append(_apply_slot_op(slot_op, value))
+        merged = parts[0] if len(parts) == 1 else concat_channels(parts)
         out, block_flops = _run_ops(block, merged)
         computed[name] = out
         flops += block_flops
@@ -476,54 +415,29 @@ def _execute(
 
 
 def forward_full(
-    spec: NetworkSpec,
-    x: np.ndarray,
-    record_levels: bool = False,
-    edges=None,
-    operands: ConvOperands | None = None,
+    spec: NetworkSpec, x: np.ndarray, record_levels: bool = False, edges=None
 ) -> ForwardRecord:
     """Evaluate every block; record tensors for the named edges.
 
     edges defaults to the configured cached edges, recorded in the
-    iteration order of that frozenset. With operands, the first conv of
-    each kept block builds its im2col operand in those buffers and marks
-    it current, so cached passes over the recorded edges can reuse it.
+    iteration order of that frozenset.
     """
     if edges is None:
         edges = spec.cache_config.cached_edges
-    return _execute(
-        spec,
-        x,
-        live=None,
-        cache=None,
-        edges=edges,
-        record_levels=record_levels,
-        operands=operands,
-    )
+    return _execute(spec, x, live=None, cache=None, edges=edges, record_levels=record_levels)
 
 
-def forward_cached(spec: NetworkSpec, x: np.ndarray, cache) -> ForwardRecord:
-    """Evaluate only the live blocks, substituting cached edge tensors.
-
-    cache is a mapping of edge tensors, or a cache state (engine.CacheState)
-    holding that mapping as .entries and a ConvOperands as .operands. With a
-    cache state, each kept block's first conv reuses its operand: only the
-    rows of its live inputs are rewritten, unless the operand is not
-    current, when every row is. The outputs are the same bit for bit as
-    with the plain mapping, which builds every operand afresh.
-    """
-    if isinstance(cache, Mapping):
-        entries, operands = cache, None
-    else:
-        entries, operands = cache.entries, cache.operands
+def forward_cached(
+    spec: NetworkSpec, x: np.ndarray, cache: dict[str, np.ndarray]
+) -> ForwardRecord:
+    """Evaluate only the live blocks, substituting cached edge tensors."""
     return _execute(
         spec,
         x,
         live=spec.cache_config.live_blocks,
-        cache=entries,
+        cache=cache,
         edges=(),
         record_levels=False,
-        operands=operands,
     )
 
 

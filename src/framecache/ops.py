@@ -8,21 +8,23 @@ repeated evaluations bit-identical and keeps the result within one float32
 ulp of the exact sum regardless of summation order.
 
 The convolution is an im2col matrix product. Each ConvParams converts its
-weights and bias to float64 once, when it is built, and im2col casts the
+weights and bias to float64 once, when it is built, and conv2d casts the
 input to float64 while it copies the windows, so each call makes one copy
 of the expanded input instead of two. The float64 operands of the product
 are the same as a per-call cast of the weights and of a float32 im2col
-matrix would give, so the outputs are unchanged bit for bit.
+matrix would give.
 
-The im2col operand is an array of its own, of shape (in_channels, kernel_h,
-kernel_w, out_h, out_w): input channel c owns rows c*kh*kw to
-(c+1)*kh*kw of the flattened matrix, and im2col fills the rows of any
-channel range. conv2d takes either a feature map, whose operand it builds
-in full, or an operand built before. Each value in the operand is a float64
-copy of one padded input value, fixed by its channel, its kernel offset
-and its output position. So rows filled on different calls from the same
-channel values hold the same bits as one full build, and the product, the
-bias add and the float32 cast see the same operands.
+conv2d builds the im2col matrix one band of output rows at a time, sized
+by _BAND_BYTES to stay in a core's L2 cache between the copy that fills
+it and the product that reads it, and multiplies each band into its
+columns of the result. Every output is still the same K-long dot product
+of the same float64 operands. On the OpenBLAS kernels tested (SkylakeX,
+Haswell, Sandybridge, Nehalem, Katmai), a band's product matched those
+columns of the whole product bit for bit whenever both column counts were
+multiples of 8, which holds for every banded convolution of the default
+networks. Other widths can move a float64 sum by an ulp; the float32
+rounding absorbed every such move the tests met, but for those widths
+that is measured, not guaranteed.
 """
 
 from dataclasses import dataclass
@@ -38,9 +40,7 @@ __all__ = [
     "concat_channels",
     "conv2d",
     "conv_flops",
-    "conv_operand",
     "conv_output_hw",
-    "im2col",
     "maxpool2",
     "relu",
     "repeat_nearest",
@@ -127,75 +127,49 @@ def conv_output_hw(params: ConvParams, height: int, width: int) -> tuple[int, in
     return out_h, out_w
 
 
-def conv_operand(params: ConvParams, height: int, width: int) -> np.ndarray:
-    """An unfilled float64 im2col operand of params for a height x width input."""
-    out_h, out_w = conv_output_hw(params, height, width)
-    shape = (params.in_channels, params.kernel_h, params.kernel_w, out_h, out_w)
-    return np.empty(shape, dtype=np.float64)
-
-
-def im2col(x: np.ndarray, params: ConvParams, cols: np.ndarray, first_channel: int = 0) -> None:
-    """Fill the im2col rows of x's channels into cols, from first_channel on.
-
-    cols is an operand of params (see conv_operand) and x holds its input
-    channels first_channel to first_channel + C.
-    """
-    _check_map(x)
-    c, h, w = x.shape
-    if first_channel < 0 or first_channel + c > params.in_channels:
-        raise ValueError(
-            f"channels {first_channel}..{first_channel + c} exceed the conv's "
-            f"{params.in_channels} input channels"
-        )
-    rows = cols[first_channel:first_channel + c]
-    if rows.shape != (c, params.kernel_h, params.kernel_w) + conv_output_hw(params, h, w):
-        raise ValueError(f"input {x.shape} does not fit an operand of shape {cols.shape}")
-    _copy_windows(x, params, rows)
-
-
-def _copy_windows(x: np.ndarray, params: ConvParams, rows: np.ndarray) -> None:
-    # x is padded in its own dtype, then its windows are cast to float64 in
-    # the single copy that writes the rows.
-    p = params.padding
-    if p:
-        c, h, w = x.shape
-        xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, p:p + h, p:p + w] = x
-    else:
-        xp = x
-    s0, s1, s2 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=rows.shape,
-        strides=(s0, s1, s2, s1 * params.stride, s2 * params.stride),
-        writeable=False,
-    )
-    np.copyto(rows, windows)
+# Bytes of float64 im2col matrix built and multiplied at a time: small
+# enough for a band to stay in a core's L2 cache between the copy that
+# fills it and the product that reads it.
+_BAND_BYTES = 1 << 20
 
 
 def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Apply a zero-padded strided cross-correlation to a (C, H, W) map.
 
-    x is the map itself, whose im2col operand is built here, or an operand
-    of params filled before (see conv_operand and im2col). The product with
-    the float64 weights of params, made once per ConvParams, gets the same
-    operands as casting the weights and a float32 im2col matrix on every
-    call would, so the result is the same bit for bit.
+    The input is padded in its own dtype, then its windows are cast to
+    float64 in the single copy that fills each band of the im2col matrix.
+    The product with the float64 weights of params, made once per
+    ConvParams, gets the same operands as casting the weights and a float32
+    im2col matrix on every call would.
     """
-    if isinstance(x, np.ndarray) and x.ndim == 5:
-        cols = x
-        kernel_rows = (params.in_channels, params.kernel_h, params.kernel_w)
-        if cols.dtype != np.float64 or cols.shape[:3] != kernel_rows:
-            raise ValueError(f"operand {cols.dtype} {cols.shape} does not belong to this conv")
+    _check_map(x)
+    c, h, w = x.shape
+    if c != params.in_channels:
+        raise ValueError(f"conv expects {params.in_channels} channels, got {c}")
+    out_h, out_w = conv_output_hw(params, h, w)
+    p = params.padding
+    if p:
+        xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, p:p + h, p:p + w] = x
     else:
-        _check_map(x)
-        c, h, w = x.shape
-        if c != params.in_channels:
-            raise ValueError(f"conv expects {params.in_channels} channels, got {c}")
-        cols = conv_operand(params, h, w)
-        _copy_windows(x, params, cols)
-    out_h, out_w = cols.shape[3:]
-    acc = params._wmat @ cols.reshape(-1, out_h * out_w)
+        xp = x
+    s0, s1, s2 = xp.strides
+    kernel = (c, params.kernel_h, params.kernel_w)
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=kernel + (out_h, out_w),
+        strides=(s0, s1, s2, s1 * params.stride, s2 * params.stride),
+        writeable=False,
+    )
+    k = c * params.kernel_h * params.kernel_w
+    rows = min(out_h, max(1, _BAND_BYTES // (k * out_w * 8)))
+    buffer = np.empty(k * rows * out_w, dtype=np.float64)
+    acc = np.empty((params.out_channels, out_h * out_w), dtype=np.float64)
+    for r0 in range(0, out_h, rows):
+        r1 = min(r0 + rows, out_h)
+        band = buffer[:k * (r1 - r0) * out_w].reshape(kernel + (r1 - r0, out_w))
+        np.copyto(band, windows[:, :, :, r0:r1])
+        np.matmul(params._wmat, band.reshape(k, -1), out=acc[:, r0 * out_w:r1 * out_w])
     acc += params._bias_col
     return acc.reshape(params.out_channels, out_h, out_w).astype(np.float32)
 

@@ -1,19 +1,23 @@
 """End-to-end tests of the command line through real subprocesses."""
 
+import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from importlib.metadata import PackageNotFoundError, distribution
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from framecache.cli import _THREAD_ENV_VARS
 
 MODULE = [sys.executable, "-m", "framecache.cli"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def write_config(tmp_path, **fields):
@@ -166,6 +170,16 @@ class TestErrorHandling:
             ({"network": {"kind": "superres", "lr_pool": True}}, "network.lr_pool"),
             ({"network": {"input_shape": [6, "48", 48]}}, "network.input_shape"),
             ({"network": {"input_shape": 48}}, "network.input_shape"),
+            ({"frames": "x"}, "frames"),
+            ({"frames": 2.5}, "frames"),
+            ({"frames": True}, "frames"),
+            ({"warmup": "x"}, "warmup"),
+            ({"scene": {"height": "x"}}, "scene.height"),
+            ({"scene": {"pan_direction": 5}}, "scene.pan_direction"),
+            ({"scene": {"pan_schedule": [[2, "fast"]]}}, "scene.pan_schedule"),
+            ({"scene": {"colour": 1}}, "scene field 'colour'"),
+            ({"scene": {"height": 0}}, "scene: resolution"),
+            ({"scene": 5}, "scene must be"),
         ],
     )
     def test_bad_field_rejected_before_any_scenario(self, tmp_path, fields, named):
@@ -228,28 +242,75 @@ class TestThreadPinning:
         assert result.returncode == 0, result.stderr
 
 
-class TestThreadIndependence:
-    """Scenario tables do not depend on the BLAS thread count."""
+def run_tables(config, out_dir, env, scenario="all"):
+    """Run a scenario in a child process; its CSV tables by name, and stderr."""
+    result = subprocess.run(
+        MODULE + ["run", "--config", str(config), "--scenario", scenario, "--out", str(out_dir)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    return {path.name: path.read_bytes() for path in out_dir.glob("*.csv")}, result.stderr
 
-    def test_all_scenarios_identical_at_one_and_two_threads(self, tmp_path):
+
+def pinned_env(**extra):
+    # Explicit BLAS variables would override FRAMECACHE_THREADS, and the
+    # null_hypothesis tables still depend on the hash seed.
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_ENV_VARS}
+    env.update(PYTHONHASHSEED="0", **extra)
+    return env
+
+
+def blas_build() -> dict:
+    return np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+
+
+class TestThreadIndependence:
+    """Scenario tables do not depend on the BLAS thread count, and at one
+    thread they match the benchmark's recorded digests."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("threads")
         config = write_config(tmp_path)
-        # Explicit BLAS variables would override FRAMECACHE_THREADS, and the
-        # null_hypothesis tables still depend on the hash seed.
-        env = {k: v for k, v in os.environ.items() if k not in _THREAD_ENV_VARS}
-        env["PYTHONHASHSEED"] = "0"
-        tables = []
-        for threads in ("1", "2"):
-            out_dir = tmp_path / f"threads{threads}"
-            result = subprocess.run(
-                MODULE + ["run", "--config", str(config), "--scenario", "all", "--out", str(out_dir)],
-                capture_output=True,
-                text=True,
-                env=dict(env, FRAMECACHE_THREADS=threads),
-            )
-            assert result.returncode == 0, result.stderr
-            tables.append({path.name: path.read_bytes() for path in out_dir.glob("*.csv")})
+        return [
+            run_tables(config, tmp_path / f"threads{n}", pinned_env(FRAMECACHE_THREADS=n))[0]
+            for n in ("1", "2")
+        ]
+
+    def test_all_scenarios_identical_at_one_and_two_threads(self, tables):
         assert len(tables[0]) == 10
         assert tables[0] == tables[1]
+
+    def test_all_scenarios_match_recorded_digests(self, tables):
+        # perfbench/reference.json holds the default suite's digests at seed 0
+        # and PYTHONHASHSEED=0, recorded on one numpy and BLAS build.
+        reference = json.loads(REFERENCE.read_text())
+        recorded = reference["environment"]
+        if (recorded["numpy"], recorded["blas_version"]) != (np.__version__, blas_build().get("version")):
+            pytest.skip("the digests were recorded on another numpy or BLAS build")
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in tables[0].items()}
+        assert digests == reference["suite_default"]["0"]
+
+
+@pytest.mark.skipif(
+    "DYNAMIC_ARCH" not in blas_build().get("openblas configuration", ""),
+    reason="needs an OpenBLAS built with DYNAMIC_ARCH",
+)
+def test_policy_sweep_identical_under_a_forced_blas_core(tmp_path):
+    # policy_sweep's U-Net runs dec0 and dec1 in bands of output rows.
+    config = write_config(tmp_path)
+    env = pinned_env(FRAMECACHE_THREADS="1", OPENBLAS_VERBOSE="2")
+    env.pop("OPENBLAS_CORETYPE", None)
+    runs = [
+        run_tables(config, tmp_path / "auto", env, "policy_sweep"),
+        run_tables(config, tmp_path / "forced", dict(env, OPENBLAS_CORETYPE="Nehalem"), "policy_sweep"),
+    ]
+    cores = [re.findall(r"^Core: (\w+)", stderr, re.MULTILINE) for _, stderr in runs]
+    assert len(cores[0]) == 1 and cores[1] == ["Nehalem"]
+    assert len(runs[0][0]) == 2
+    assert runs[0][0] == runs[1][0]
 
 
 class TestConsoleScript:

@@ -370,8 +370,8 @@ class TestConvInstrumentationContract:
 
     @pytest.mark.parametrize("policy", [EveryN(3), DeltaSmape(0.2)])
     def test_one_call_per_conv_through_the_sequence_runner(self, monkeypatch, policy):
-        # run_sequence hands forward_cached its cache state, whose kept
-        # operands go to conv2d in place of a map: still one call per conv.
+        # Each executed conv is one conv2d call, however many bands of
+        # output rows it multiplies, on the passes run_sequence makes.
         calls = []
         original = netgraph.conv2d
 

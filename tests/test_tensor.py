@@ -15,9 +15,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from framecache import ops
 from framecache.ops import (
     ConvParams,
     _check_map,
@@ -25,9 +26,7 @@ from framecache.ops import (
     concat_channels,
     conv2d,
     conv_flops,
-    conv_operand,
     conv_output_hw,
-    im2col,
     maxpool2,
     relu,
     repeat_nearest,
@@ -244,60 +243,43 @@ class TestConv2dMatchesSeedKernel:
         x, params = case
         assert_bitwise_seed_match(x, params)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(conv_cases(), st.data())
+    def test_banded_geometries(self, case, data):
+        # A budget of a few output rows, so every case runs in two or more
+        # bands, the last one often shorter.
+        x, params = case
+        out_h, out_w = conv_output_hw(params, x.shape[1], x.shape[2])
+        assume(out_h > 1)
+        rows = data.draw(st.integers(1, out_h - 1))
+        row_bytes = params.in_channels * params.kernel_h * params.kernel_w * out_w * 8
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ops, "_BAND_BYTES", rows * row_bytes)
+            assert_bitwise_seed_match(x, params)
+
     @pytest.mark.parametrize("kind", ["contiguous", "view", "float64"])
     @pytest.mark.parametrize(
-        "in_c,out_c,kernel,padding",
-        [(6, 8, 3, 1), (8, 8, 3, 1), (24, 8, 3, 1), (8, 6, 1, 0)],
+        "in_c,out_c,kernel,padding,size",
+        [
+            pytest.param(6, 8, 3, 1, 48, id="6-8-3-1"),
+            pytest.param(8, 8, 3, 1, 48, id="8-8-3-1"),
+            pytest.param(24, 8, 3, 1, 48, id="24-8-3-1"),
+            pytest.param(8, 6, 1, 0, 48, id="8-6-1-0"),
+            pytest.param(48, 16, 3, 1, 24, id="48-16-3-1-24x24"),
+            pytest.param(40, 8, 3, 1, 48, id="40-8-3-1-48x48"),
+            pytest.param(40, 8, 3, 1, 64, id="40-8-3-1-64x64"),
+        ],
     )
-    def test_cached_frame_shapes(self, in_c, out_c, kernel, padding, kind):
+    def test_cached_frame_shapes(self, in_c, out_c, kernel, padding, size, kind):
         # The five convolutions of a cached frame of the U-Net at level 1 on
-        # 48x48 inputs: enc0 (6->8, 8->8), dec0 (24->8, 8->8), head (8->6, 1x1).
+        # 48x48 inputs: enc0 (6->8, 8->8), dec0 (24->8, 8->8), head (8->6,
+        # 1x1); then banded convolutions of the default suite: the U-Net's
+        # dec1 at 24x24 and the superres net's fuse at 48x48 and 64x64.
+        # 8->8 and dec0 run in 2 and 4 bands, the last three in 2, 7 and 13,
+        # with a shorter last band at 48x48 and 64x64.
         rng = np.random.default_rng(in_c * 100 + out_c)
         params = random_params(rng, in_c, out_c, kernel, padding=padding)
-        assert_bitwise_seed_match(_input_of_kind(rng, kind, (in_c, 48, 48)), params)
-
-
-class TestIm2colRowRanges:
-    """An operand filled range by range gives the one-call result bit for bit."""
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(conv_cases(), st.data())
-    def test_filled_in_ranges_matches_seed_kernel(self, case, data):
-        x, params = case
-        c = params.in_channels
-        cuts = sorted(data.draw(st.sets(st.integers(1, c - 1), max_size=c - 1)) if c > 1 else [])
-        bounds = list(zip([0] + cuts, cuts + [c]))
-        cols = conv_operand(params, x.shape[1], x.shape[2])
-        cols.fill(np.nan)
-        for c0, c1 in data.draw(st.permutations(bounds)):
-            im2col(x[c0:c1], params, cols, c0)
-        out = conv2d(cols, params)
-        old = _seed_conv2d(x, params)
-        assert np.array_equal(out.view(np.uint32), old.view(np.uint32))
-
-    def test_rewriting_one_range_tracks_that_input(self):
-        rng = np.random.default_rng(8)
-        params = random_params(rng, 24, 8, 3, padding=1)
-        x = rng.standard_normal((24, 12, 12)).astype(np.float32)
-        cols = conv_operand(params, 12, 12)
-        im2col(x, params, cols)
-        x[16:] = rng.standard_normal((8, 12, 12)).astype(np.float32)
-        im2col(x[16:], params, cols, 16)
-        assert np.array_equal(conv2d(cols, params), conv2d(x, params))
-
-    def test_rejects_foreign_operands_and_ranges(self):
-        rng = np.random.default_rng(9)
-        params = random_params(rng, 4, 2, 3, padding=1)
-        cols = conv_operand(params, 6, 6)
-        with pytest.raises(ValueError, match="exceed"):
-            im2col(np.zeros((2, 6, 6), dtype=np.float32), params, cols, 3)
-        with pytest.raises(ValueError, match="does not fit"):
-            im2col(np.zeros((2, 8, 8), dtype=np.float32), params, cols, 0)
-        other = random_params(rng, 4, 2, 1)
-        with pytest.raises(ValueError, match="does not belong"):
-            conv2d(cols, other)
-        with pytest.raises(ValueError, match="does not belong"):
-            conv2d(cols.astype(np.float32), params)
+        assert_bitwise_seed_match(_input_of_kind(rng, kind, (in_c, size, size)), params)
 
 
 class TestConvParamsCopies:
