@@ -163,7 +163,6 @@ def build_unet(
         input_shape,
         "head",
         cache_config=unet_level_config(depth, 1),
-        seed=seed,
     )
 
 
@@ -274,7 +273,6 @@ def build_unetpp(
         input_shape,
         "head",
         cache_config=unetpp_config_b(depth),
-        seed=seed,
     )
 
 
@@ -321,7 +319,6 @@ def build_multibranch(
     fusion_ops: tuple,
     input_shape: tuple[int, int, int],
     cached_branches: set[str] | None = None,
-    seed: int = 0,
 ) -> NetworkSpec:
     """Independent branch extractors over one input, fused by concat.
 
@@ -368,7 +365,6 @@ def build_multibranch(
         input_shape,
         "fuse",
         cache_config=multibranch_config(names, cached_branches),
-        seed=seed,
     )
 
 
@@ -423,5 +419,4 @@ def build_superres(
         fusion_ops,
         input_shape,
         cached_branches={"hr", "temporal"},
-        seed=seed,
     )

@@ -264,9 +264,13 @@ def validate_run_config(cfg: RunConfig) -> None:
         SceneConfig(**{"seed": cfg.seed, **cfg.scene})
     except ValueError as err:
         raise ValueError(f"scene: {err}") from None
-    for name in cfg.options:
+    if cfg.cache is not None and not isinstance(cfg.cache, str):
+        raise ValueError(f"cache must be null or a string, got {cfg.cache!r}")
+    for name, value in cfg.options.items():
         if name not in SCENARIO_NAMES:
             raise ValueError(f"options key {name!r} is not a scenario name")
+        if not isinstance(value, dict):
+            raise ValueError(f"options.{name} must be a JSON object, got {value!r}")
 
 
 def _tuples(value):
@@ -275,6 +279,8 @@ def _tuples(value):
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {data!r}")
     if data.get("version") != CONFIG_VERSION:
         raise ValueError(f"config version must be {CONFIG_VERSION}, got {data.get('version')!r}")
     known = {f.name for f in dataclasses.fields(RunConfig)}

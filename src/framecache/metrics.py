@@ -1,11 +1,10 @@
 """Image quality metrics for comparing cached runs against baselines.
 
 All metrics accept (C, H, W) arrays and treat channels as independent
-planes. PSNR uses a configurable peak (default 1.0 to match the generator's
-[0, 1] channels) and returns math.inf for identical inputs. SSIM uses
-uniform 8x8 windows with stride 4 and population statistics, averaged over
-every window of every channel; it is a comparative score, not a calibrated
-reproduction of any published SSIM variant.
+planes. SSIM uses uniform 8x8 windows with stride 4 and population
+statistics, averaged over every window of every channel; it is a
+comparative score, not a calibrated reproduction of any published SSIM
+variant.
 """
 
 import math
@@ -18,7 +17,7 @@ from .ops import smape
 SSIM_WINDOW = 8
 SSIM_STRIDE = 4
 
-__all__ = ["QualityReport", "aggregate", "mse", "psnr", "ssim", "smape"]
+__all__ = ["QualityReport", "aggregate", "mse", "ssim", "smape"]
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
@@ -33,16 +32,6 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     _check_pair(a, b)
     diff = a.astype(np.float64) - b.astype(np.float64)
     return float(np.mean(diff * diff))
-
-
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    """10 * log10(peak^2 / mse) in dB; inf when the inputs are identical."""
-    if peak <= 0:
-        raise ValueError("peak must be positive")
-    err = mse(a, b)
-    if err == 0.0:
-        return math.inf
-    return 10.0 * math.log10(peak * peak / err)
 
 
 def _window_views(x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ frames and the edges whose producer-side tensors are stored on refresh
 frames and substituted at the consumer slots afterwards.
 """
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -113,7 +112,6 @@ class NetworkSpec:
     input_shape: tuple[int, int, int]
     output_block: str
     cache_config: CacheConfig
-    seed: int
     order: tuple[str, ...]
     shapes: dict[str, tuple[int, int, int]]
     block_flops: dict[str, int]
@@ -265,7 +263,6 @@ def make_network_spec(
     input_shape: tuple[int, int, int],
     output_block: str,
     cache_config: CacheConfig | None = None,
-    seed: int = 0,
 ) -> NetworkSpec:
     """Validate structure, infer shapes and freeze a NetworkSpec."""
     if len(input_shape) != 3 or min(input_shape) < 1:
@@ -300,7 +297,6 @@ def make_network_spec(
         input_shape=tuple(input_shape),
         output_block=output_block,
         cache_config=cache_config,
-        seed=seed,
         order=order,
         shapes=shapes,
         block_flops=block_flops,
@@ -322,14 +318,12 @@ class ForwardRecord:
     """Result of one forward pass.
 
     edge_tensors holds the producer-side tensor for every recorded edge
-    (full passes only); per_level_features maps encoder depth to that
-    block's output when level recording was requested.
+    (full passes only).
     """
 
     output: np.ndarray
     edge_tensors: dict[str, np.ndarray] = field(default_factory=dict)
     flops_executed: int = 0
-    per_level_features: dict[int, np.ndarray] | None = None
     executed_blocks: tuple[str, ...] = ()
 
 
@@ -366,7 +360,6 @@ def _execute(
     live: frozenset[str] | None,
     cache: dict[str, np.ndarray] | None,
     edges,
-    record_levels: bool,
 ) -> ForwardRecord:
     if x.shape != spec.input_shape:
         raise ValueError(f"input shape {x.shape} does not match spec {spec.input_shape}")
@@ -374,7 +367,6 @@ def _execute(
     computed: dict[str, np.ndarray] = {INPUT: x}
     flops = 0
     executed: list[str] = []
-    levels: dict[int, np.ndarray] = {}
     for name in spec.order:
         if live is not None and name not in live:
             continue
@@ -400,13 +392,10 @@ def _execute(
         computed[name] = out
         flops += block_flops
         executed.append(name)
-        if record_levels and _is_encoder(block.ident):
-            levels[block.ident.depth] = out
     record = ForwardRecord(
         output=computed[spec.output_block],
         flops_executed=flops,
         executed_blocks=tuple(executed),
-        per_level_features=levels if record_levels else None,
     )
     for edge_name in edges:
         edge = spec.edge_by_name(edge_name)
@@ -414,9 +403,7 @@ def _execute(
     return record
 
 
-def forward_full(
-    spec: NetworkSpec, x: np.ndarray, record_levels: bool = False, edges=None
-) -> ForwardRecord:
+def forward_full(spec: NetworkSpec, x: np.ndarray, edges=None) -> ForwardRecord:
     """Evaluate every block; record tensors for the named edges.
 
     edges defaults to the configured cached edges, recorded in the
@@ -424,140 +411,41 @@ def forward_full(
     """
     if edges is None:
         edges = spec.cache_config.cached_edges
-    return _execute(spec, x, live=None, cache=None, edges=edges, record_levels=record_levels)
+    return _execute(spec, x, live=None, cache=None, edges=edges)
 
 
 def forward_cached(
     spec: NetworkSpec, x: np.ndarray, cache: dict[str, np.ndarray]
 ) -> ForwardRecord:
     """Evaluate only the live blocks, substituting cached edge tensors."""
-    return _execute(
-        spec,
-        x,
-        live=spec.cache_config.live_blocks,
-        cache=cache,
-        edges=(),
-        record_levels=False,
-    )
+    return _execute(spec, x, live=spec.cache_config.live_blocks, cache=cache, edges=())
 
 
 def feature_delta_profile(spec: NetworkSpec, inputs: list[np.ndarray]) -> dict[int, list[float]]:
     """Per-encoder-depth SMAPE of each frame's features against frame 0's.
 
-    Returns {depth: [value per frame]}; the frame-0 entry is always 0.
+    An encoder block's features are the tensor recorded on its first
+    outgoing edge, so every encoder block must feed one. Returns
+    {depth: [value per frame]}; the frame-0 entry is always 0.
     """
     from .ops import smape
 
     if len(inputs) < 2:
         raise ValueError("feature_delta_profile needs at least two frames")
-    records = [forward_full(spec, x, record_levels=True) for x in inputs]
-    base = records[0].per_level_features
-    if not base:
+    first_edge = {edge.src: edge.name for edge in reversed(spec.edges)}
+    levels = {}
+    for name in spec.order:
+        ident = spec.blocks[name].ident
+        if _is_encoder(ident):
+            levels[ident.depth] = first_edge[name]
+    if not levels:
         raise ValueError("network has no encoder blocks to profile")
-    profile: dict[int, list[float]] = {depth: [] for depth in sorted(base)}
+    records = [forward_full(spec, x, edges=levels.values()) for x in inputs]
+    base = records[0].edge_tensors
+    profile: dict[int, list[float]] = {depth: [] for depth in sorted(levels)}
     for record in records:
         for depth in profile:
-            profile[depth].append(smape(record.per_level_features[depth], base[depth]))
+            edge = levels[depth]
+            profile[depth].append(smape(record.edge_tensors[edge], base[edge]))
     return profile
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-SPEC_FORMAT_VERSION = 1
-
-
-def _op_to_json(op) -> dict:
-    if isinstance(op, ConvParams):
-        return {
-            "type": "conv",
-            "in_channels": op.in_channels,
-            "out_channels": op.out_channels,
-            "kernel": [op.kernel_h, op.kernel_w],
-            "stride": op.stride,
-            "padding": op.padding,
-            "weights": [float(v) for v in op.weights.ravel()],
-            "bias": [float(v) for v in op.bias],
-        }
-    return {"type": op}
-
-
-def _op_from_json(d: dict):
-    if d["type"] != "conv":
-        return d["type"]
-    return ConvParams(
-        in_channels=d["in_channels"],
-        out_channels=d["out_channels"],
-        kernel_h=d["kernel"][0],
-        kernel_w=d["kernel"][1],
-        weights=np.asarray(d["weights"], dtype=np.float32),
-        bias=np.asarray(d["bias"], dtype=np.float32),
-        stride=d["stride"],
-        padding=d["padding"],
-    )
-
-
-def spec_to_json(spec: NetworkSpec) -> dict:
-    """Serialize a NetworkSpec to a JSON-compatible dict (weights inline)."""
-    return {
-        "format": SPEC_FORMAT_VERSION,
-        "seed": spec.seed,
-        "input_shape": list(spec.input_shape),
-        "output_block": spec.output_block,
-        "blocks": [
-            {
-                "name": b.name,
-                "kind": b.ident.kind,
-                "depth": b.ident.depth,
-                "index": b.ident.index,
-                "slot_ops": list(b.slot_ops),
-                "ops": [_op_to_json(op) for op in b.ops],
-            }
-            for b in (spec.blocks[name] for name in spec.order)
-        ],
-        "edges": [{"src": e.src, "dst": e.dst, "slot": e.slot} for e in spec.edges],
-        "cache": {
-            "label": spec.cache_config.label,
-            "cached_edges": sorted(spec.cache_config.cached_edges),
-            "live_blocks": sorted(spec.cache_config.live_blocks),
-        },
-    }
-
-
-def spec_from_json(doc: dict) -> NetworkSpec:
-    if doc.get("format") != SPEC_FORMAT_VERSION:
-        raise ValueError(f"unsupported network format {doc.get('format')!r}")
-    blocks = [
-        Block(
-            name=b["name"],
-            ident=BlockId(kind=b["kind"], depth=b["depth"], index=b["index"]),
-            slot_ops=tuple(b["slot_ops"]),
-            ops=tuple(_op_from_json(op) for op in b["ops"]),
-        )
-        for b in doc["blocks"]
-    ]
-    edges = [Edge(src=e["src"], dst=e["dst"], slot=e["slot"]) for e in doc["edges"]]
-    cache = CacheConfig(
-        label=doc["cache"]["label"],
-        cached_edges=frozenset(doc["cache"]["cached_edges"]),
-        live_blocks=frozenset(doc["cache"]["live_blocks"]),
-    )
-    return make_network_spec(
-        blocks,
-        edges,
-        tuple(doc["input_shape"]),
-        doc["output_block"],
-        cache,
-        seed=doc.get("seed", 0),
-    )
-
-
-def save_spec(spec: NetworkSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec_to_json(spec), fh)
-
-
-def load_spec(path) -> NetworkSpec:
-    with open(path) as fh:
-        return spec_from_json(json.load(fh))

@@ -21,7 +21,6 @@ __all__ = [
     "PolicyState",
     "initial_state",
     "mean_motion_magnitude",
-    "policy_label",
     "policy_metric",
     "power_schedule",
     "preset_policy",
@@ -172,18 +171,6 @@ def record_result(policy: RefreshPolicy, state: PolicyState, frame, refreshed: b
     else:
         state.frames_since_refresh += 1
     state.frame_index += 1
-
-
-def policy_label(policy: RefreshPolicy) -> str:
-    if isinstance(policy, EveryN):
-        return f"every_{policy.n}"
-    if isinstance(policy, NonLinearSchedule):
-        return f"nonlinear_{policy.refresh_count}_{policy.exponent:g}"
-    if isinstance(policy, DeltaSmape):
-        return f"delta_{policy.tau:g}"
-    if isinstance(policy, MotionThreshold):
-        return f"motion_{policy.tau:g}"
-    return str(policy)
 
 
 def preset_policy(name: str, horizon: int) -> RefreshPolicy:

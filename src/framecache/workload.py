@@ -17,25 +17,19 @@ the frames are the same bit for bit.
 """
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import smape, tensor
+from .ops import tensor
 
 __all__ = [
     "FrameInput",
     "FrameSequence",
     "SceneConfig",
     "generate",
-    "inter_frame_delta_stats",
-    "load_sequence",
-    "save_sequence",
 ]
 
-_MAGIC = b"FCS1"
-_FILE_VERSION = 1
 _GRAD_SCALE = 8.0
 
 
@@ -102,7 +96,6 @@ class FrameInput:
 
 @dataclass(eq=False)
 class FrameSequence:
-    config: SceneConfig
     frames: list[FrameInput] = field(default_factory=list)
 
     def __len__(self):
@@ -298,7 +291,7 @@ def generate(config: SceneConfig, frame_count: int) -> FrameSequence:
     dir_y = config.pan_direction[1] / norm
     speeds = _per_frame_speeds(config, frame_count)
     sprites = _make_sprites(config)
-    sequence = FrameSequence(config=config)
+    sequence = FrameSequence()
     offset_x = 0.0
     offset_y = 0.0
     for index in range(frame_count):
@@ -313,60 +306,3 @@ def generate(config: SceneConfig, frame_count: int) -> FrameSequence:
         sequence.frames.append(FrameInput(index=index, input=tensor(channels), motion=motion))
     return sequence
 
-
-def inter_frame_delta_stats(sequence: FrameSequence) -> list[float]:
-    """SMAPE between each consecutive frame pair of the sequence inputs."""
-    frames = sequence.frames
-    return [smape(frames[t].input, frames[t - 1].input) for t in range(1, len(frames))]
-
-
-# ---------------------------------------------------------------------------
-# Flat binary export
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<4sIIIIIq")
-
-
-def save_sequence(sequence: FrameSequence, path) -> None:
-    """Write a sequence as little-endian float32 with a fixed header.
-
-    Layout: magic, version, channels, height, width, frame_count, seed;
-    then per frame the input tensor followed by the 2-channel motion field.
-    """
-    config = sequence.config
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC,
-                _FILE_VERSION,
-                config.channels,
-                config.height,
-                config.width,
-                len(sequence.frames),
-                config.seed,
-            )
-        )
-        for frame in sequence.frames:
-            fh.write(np.ascontiguousarray(frame.input, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(frame.motion, dtype="<f4").tobytes())
-
-
-def load_sequence(path) -> FrameSequence:
-    """Read a sequence written by save_sequence."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        magic, version, channels, height, width, frame_count, seed = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise ValueError(f"not a frame sequence file (magic {magic!r})")
-        if version != _FILE_VERSION:
-            raise ValueError(f"unsupported sequence file version {version}")
-        config = SceneConfig(seed=seed, channels=channels, height=height, width=width)
-        sequence = FrameSequence(config=config)
-        plane = height * width
-        for index in range(frame_count):
-            raw = np.frombuffer(fh.read(4 * channels * plane), dtype="<f4")
-            inp = raw.reshape(channels, height, width).astype(np.float32)
-            raw = np.frombuffer(fh.read(4 * 2 * plane), dtype="<f4")
-            motion = raw.reshape(2, height, width).astype(np.float32)
-            sequence.frames.append(FrameInput(index=index, input=inp, motion=motion))
-    return sequence

@@ -180,6 +180,8 @@ class TestErrorHandling:
             ({"scene": {"colour": 1}}, "scene field 'colour'"),
             ({"scene": {"height": 0}}, "scene: resolution"),
             ({"scene": 5}, "scene must be"),
+            ({"cache": 5}, "cache"),
+            ({"options": {"policy_sweep": 5}}, "options.policy_sweep"),
         ],
     )
     def test_bad_field_rejected_before_any_scenario(self, tmp_path, fields, named):
@@ -188,6 +190,15 @@ class TestErrorHandling:
         result = run_cli("run", "--config", str(config), "--scenario", "all", "--out", str(out_dir))
         assert result.returncode == 2
         assert result.stderr.count("\n") == 1 and named in result.stderr
+        assert not out_dir.exists()
+
+    def test_non_object_config_rejected(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text("[1]")
+        out_dir = tmp_path / "out"
+        result = run_cli("run", "--config", str(path), "--scenario", "all", "--out", str(out_dir))
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1 and "config must be a JSON object" in result.stderr
         assert not out_dir.exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path):

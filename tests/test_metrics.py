@@ -17,7 +17,6 @@ from framecache.metrics import (
     QualityReport,
     aggregate,
     mse,
-    psnr,
     smape,
     ssim,
 )
@@ -79,30 +78,6 @@ class TestMse:
             mse(np.zeros((1, 4, 4), dtype=np.float32), np.zeros((1, 4, 5), dtype=np.float32))
         with pytest.raises(ValueError, match="rank-3"):
             mse(np.zeros((4, 4), dtype=np.float32), np.zeros((4, 4), dtype=np.float32))
-
-
-class TestPsnr:
-    """Peak signal-to-noise ratio."""
-
-    def test_identical_is_infinite(self):
-        x = np.random.default_rng(2).uniform(size=(3, 8, 8)).astype(np.float32)
-        assert psnr(x, x) == math.inf
-
-    def test_unit_mse_at_8bit_peak(self):
-        a = np.zeros((3, 8, 8), dtype=np.float32)
-        b = np.ones((3, 8, 8), dtype=np.float32)
-        assert psnr(a, b, peak=255.0) == pytest.approx(48.1308036086791, abs=1e-12)
-        assert psnr(a, b, peak=1.0) == 0.0
-
-    def test_matches_definition(self):
-        rng = np.random.default_rng(3)
-        a, b = random_pair(rng)
-        assert psnr(a, b) == pytest.approx(10.0 * math.log10(1.0 / mse(a, b)), abs=1e-12)
-
-    def test_peak_validation(self):
-        a = np.zeros((1, 8, 8), dtype=np.float32)
-        with pytest.raises(ValueError, match="peak"):
-            psnr(a, a, peak=0.0)
 
 
 class TestSsim:

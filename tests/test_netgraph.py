@@ -5,8 +5,6 @@ definition alone (channel widths, spatial sizes, kernel sizes) so the
 library's per-block ledger is checked against an independent derivation.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -32,12 +30,8 @@ from framecache.netgraph import (
     feature_delta_profile,
     forward_cached,
     forward_full,
-    load_spec,
     make_network_spec,
     replace_cache_config,
-    save_spec,
-    spec_from_json,
-    spec_to_json,
 )
 from framecache.ops import ConvParams
 from framecache.policies import DeltaSmape, EveryN
@@ -497,17 +491,6 @@ class TestForwardValidation:
             src = spec.edge_by_name(name).src
             assert value.shape == spec.shapes[src]
 
-    def test_per_level_features(self):
-        spec = build_unet(3, 4, (3, 16, 16))
-        x = random_input(spec, 2)
-        plain = forward_full(spec, x)
-        assert plain.per_level_features is None
-        record = forward_full(spec, x, record_levels=True)
-        assert set(record.per_level_features) == {0, 1, 2}
-        for depth, value in record.per_level_features.items():
-            assert value.shape == spec.shapes[f"enc{depth}"]
-
-
 class TestCacheConfigValidation:
     """Static satisfiability rules for cache configurations."""
 
@@ -664,51 +647,13 @@ class TestFeatureDeltaProfile:
         with pytest.raises(ValueError, match="encoder"):
             feature_delta_profile(spec, frames)
 
+    def test_frozen_values(self):
+        # Exact floats: the feature_profile tables are written from these.
+        spec = build_unet(3, 4, (3, 16, 16), seed=5)
+        profile = feature_delta_profile(spec, [random_input(spec, 20), random_input(spec, 21)])
+        assert profile == {
+            0: [0.0, 0.4551706165381618],
+            1: [0.0, 0.2529503597945222],
+            2: [0.0, 0.2239484223531164],
+        }
 
-class TestSerialization:
-    """JSON round trips must preserve structure, weights and behavior."""
-
-    def roundtrip(self, spec):
-        return spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
-
-    def test_unet_roundtrip_bit_identical(self):
-        spec = set_unet_level(build_unet(3, 4, (3, 16, 16), seed=8), 2)
-        clone = self.roundtrip(spec)
-        assert clone.order == spec.order
-        assert clone.shapes == spec.shapes
-        assert clone.block_flops == spec.block_flops
-        assert clone.cache_config == spec.cache_config
-        x = random_input(spec, 13)
-        assert np.array_equal(forward_full(clone, x).output, forward_full(spec, x).output)
-
-    def test_superres_roundtrip(self):
-        spec = build_superres(input_shape=(6, 16, 16), base_channels=4, lr_pool=2)
-        clone = self.roundtrip(spec)
-        assert clone.full_flops == spec.full_flops
-        x = random_input(spec, 14)
-        full = forward_full(spec, x)
-        again = forward_full(clone, x)
-        assert np.array_equal(full.output, again.output)
-        for name, value in full.edge_tensors.items():
-            assert np.array_equal(value, again.edge_tensors[name])
-
-    def test_save_load_file(self, tmp_path):
-        spec = build_unet(2, 4, (3, 16, 16), seed=1)
-        path = tmp_path / "net.json"
-        save_spec(spec, path)
-        clone = load_spec(path)
-        x = random_input(spec, 15)
-        assert np.array_equal(forward_full(clone, x).output, forward_full(spec, x).output)
-
-    def test_unsupported_format_rejected(self):
-        doc = spec_to_json(build_unet(2, 4, (3, 16, 16)))
-        doc["format"] = 99
-        with pytest.raises(ValueError, match="unsupported network format"):
-            spec_from_json(doc)
-
-    def test_multibranch_label_preserved(self):
-        ops = (identity_conv(3),)
-        spec = build_multibranch(
-            [("a", ops), ("b", ops)], (identity_conv(6),), (3, 8, 8)
-        )
-        assert self.roundtrip(spec).cache_config.label == "multibranch[a]"

@@ -19,7 +19,6 @@ from framecache.policies import (
     PolicyState,
     initial_state,
     mean_motion_magnitude,
-    policy_label,
     policy_metric,
     power_schedule,
     preset_policy,
@@ -273,12 +272,3 @@ class TestPresets:
         frames = generate(SWEEP_SCENE, 10).frames
         assert refresh_indices(preset_policy("no_update", 10), frames, 10) == [0]
 
-
-class TestLabels:
-    """Stable policy labels for report rows."""
-
-    def test_label_formats(self):
-        assert policy_label(EveryN(5)) == "every_5"
-        assert policy_label(DeltaSmape(tau=0.25)) == "delta_0.25"
-        assert policy_label(MotionThreshold(tau=1.0)) == "motion_1"
-        assert policy_label(NonLinearSchedule(refresh_count=4, exponent=1.4)) == "nonlinear_4_1.4"

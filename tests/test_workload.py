@@ -1,4 +1,4 @@
-"""Tests for the procedural scene generator and its binary export.
+"""Tests for the procedural scene generator.
 
 Determinism is checked at the bit level: the generator is hash-based, so
 the same config must reproduce identical bytes across runs. Motion ground
@@ -9,7 +9,6 @@ The _seed_* functions keep the first generator's per-pixel noise formula
 generator must reproduce its frames bit for bit.
 """
 
-import struct
 from unittest import mock
 
 import numpy as np
@@ -25,14 +24,8 @@ from framecache.policies import (
     record_result,
     should_refresh,
 )
-from framecache.workload import (
-    FrameSequence,
-    SceneConfig,
-    generate,
-    inter_frame_delta_stats,
-    load_sequence,
-    save_sequence,
-)
+from framecache.ops import smape
+from framecache.workload import SceneConfig, generate
 from framecache.workload import _GRAD_SCALE
 
 
@@ -167,6 +160,11 @@ def refresh_indices(policy, frames):
     return indices
 
 
+def consecutive_smape(frames):
+    """SMAPE between each consecutive pair of frame inputs."""
+    return [smape(frames[t].input, frames[t - 1].input) for t in range(1, len(frames))]
+
+
 class TestFrameLayout:
     """Channel layout, dtypes and value ranges."""
 
@@ -250,7 +248,7 @@ class TestMotionGroundTruth:
         for frame in frames[1:]:
             assert np.array_equal(frame.input, frames[0].input)
             assert not frame.motion.any()
-        assert inter_frame_delta_stats(FrameSequence(config=config, frames=frames)) == [0.0] * 4
+        assert consecutive_smape(frames) == [0.0] * 4
 
     def test_sprites_override_motion(self):
         config = SceneConfig(seed=6, sprite_count=2, pan_speed=1.0)
@@ -270,7 +268,7 @@ class TestTemporalDrift:
         means = []
         for speed in (0.5, 1.0, 2.0, 4.0):
             config = SceneConfig(seed=3, pan_speed=speed, pan_direction=(3.0, 4.0))
-            means.append(float(np.mean(inter_frame_delta_stats(generate(config, 6)))))
+            means.append(float(np.mean(consecutive_smape(generate(config, 6).frames))))
         assert means[0] < means[1] < means[2] < means[3]
 
     def test_schedule_segments_have_distinct_speeds(self):
@@ -279,7 +277,7 @@ class TestTemporalDrift:
         mags = [mean_motion_magnitude(frame.motion) for frame in frames]
         assert mags[:5] == pytest.approx([0.2] * 5, abs=1e-6)
         assert mags[5:] == pytest.approx([4.0] * 5, abs=1e-6)
-        deltas = inter_frame_delta_stats(generate(config, 10))
+        deltas = consecutive_smape(generate(config, 10).frames)
         assert max(deltas[:4]) < min(deltas[4:])
 
     def test_schedule_extends_last_segment(self):
@@ -393,48 +391,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             generate(SceneConfig(seed=0), 0)
 
-
-class TestBinaryExport:
-    """Flat little-endian file format."""
-
-    def test_round_trip_bit_identical(self, tmp_path):
-        config = SceneConfig(seed=11, channels=5, height=20, width=24, pan_speed=1.5)
-        sequence = generate(config, 4)
-        path = tmp_path / "scene.bin"
-        save_sequence(sequence, path)
-        loaded = load_sequence(path)
-        assert len(loaded) == 4
-        assert loaded.config.seed == 11
-        assert loaded.config.channels == 5
-        assert loaded.config.height == 20
-        assert loaded.config.width == 24
-        for a, b in zip(sequence, loaded):
-            assert a.index == b.index
-            assert np.array_equal(a.input, b.input)
-            assert np.array_equal(a.motion, b.motion)
-
-    def test_file_size_is_exact(self, tmp_path):
-        config = SceneConfig(seed=0, channels=3, height=8, width=8)
-        sequence = generate(config, 2)
-        path = tmp_path / "scene.bin"
-        save_sequence(sequence, path)
-        header = struct.calcsize("<4sIIIIIq")
-        expected = header + 2 * (3 + 2) * 8 * 8 * 4
-        assert path.stat().st_size == expected
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 28)
-        with pytest.raises(ValueError, match="magic"):
-            load_sequence(path)
-
-    def test_bad_version_rejected(self, tmp_path):
-        config = SceneConfig(seed=0, channels=1, height=8, width=8)
-        sequence = generate(config, 1)
-        path = tmp_path / "scene.bin"
-        save_sequence(sequence, path)
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", 9)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="version"):
-            load_sequence(path)
