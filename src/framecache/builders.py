@@ -175,13 +175,8 @@ def unet_level_config(depth: int, level: int) -> CacheConfig:
     """
     if not 1 <= level <= depth - 1:
         raise ValueError(f"cache level must be in [1, {depth - 1}], got {level}")
-    live = {f"enc{i}" for i in range(level)} | {f"dec{i}" for i in range(level)} | {"head"}
     deep = f"enc{depth - 1}" if level - 1 == depth - 2 else f"dec{level}"
-    return CacheConfig(
-        label=f"unet_level_{level}",
-        cached_edges=frozenset({f"{deep}->dec{level - 1}:0"}),
-        live_blocks=frozenset(live),
-    )
+    return CacheConfig(f"unet_level_{level}", frozenset({f"{deep}->dec{level - 1}:0"}))
 
 
 def set_unet_level(spec: NetworkSpec, level: int) -> NetworkSpec:
@@ -278,13 +273,8 @@ def build_unetpp(
 
 def unetpp_config_b(depth: int) -> CacheConfig:
     """Keep the full top row live; cache every deep input feeding it."""
-    live = {f"x0.{j}" for j in range(depth + 1)} | {"head"}
     cached = {f"x1.{j - 1}->x0.{j}:{j}" for j in range(1, depth + 1)}
-    return CacheConfig(
-        label="unetpp_config_b",
-        cached_edges=frozenset(cached),
-        live_blocks=frozenset(live),
-    )
+    return CacheConfig("unetpp_config_b", frozenset(cached))
 
 
 def unetpp_config_a(depth: int) -> CacheConfig:
@@ -294,19 +284,12 @@ def unetpp_config_a(depth: int) -> CacheConfig:
     block x{i}.{depth - i}. The cached edges are the same-row inputs those
     last blocks take from inner grid blocks.
     """
-    live = {f"x{i}.0" for i in range(depth + 1)}
-    live |= {f"x{i}.{depth - i}" for i in range(depth)}
-    live.add("head")
     cached = set()
     for i in range(depth):
         last = depth - i
         for j in range(1, last):
             cached.add(f"x{i}.{j}->x{i}.{last}:{j}")
-    return CacheConfig(
-        label="unetpp_config_a",
-        cached_edges=frozenset(cached),
-        live_blocks=frozenset(live),
-    )
+    return CacheConfig("unetpp_config_a", frozenset(cached))
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +352,12 @@ def build_multibranch(
 
 
 def multibranch_config(branch_names: list[str], cached_branches: set[str]) -> CacheConfig:
-    live = {name for name in branch_names if name not in cached_branches} | {"fuse"}
     cached = {
         f"{name}->fuse:{slot}"
         for slot, name in enumerate(branch_names)
         if name in cached_branches
     }
-    return CacheConfig(
-        label="multibranch[" + ",".join(sorted(cached_branches)) + "]",
-        cached_edges=frozenset(cached),
-        live_blocks=frozenset(live),
-    )
+    return CacheConfig("multibranch[" + ",".join(sorted(cached_branches)) + "]", frozenset(cached))
 
 
 def build_superres(

@@ -20,6 +20,7 @@ the suite's peak memory.
 
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import typing
@@ -193,6 +194,47 @@ class RunConfig:
 
 _NETWORK_INT_FIELDS = ("depth", "base_channels", "lr_pool", "out_channels", "seed")
 
+_BUILDERS = {"unet": build_unet, "unetpp": build_unetpp, "superres": build_superres}
+
+# The builder parameters of each scenario that reads the network section;
+# the section's keys override them.
+_NETWORK_DEFAULTS = {
+    "policy_sweep": {"kind": "unet", "depth": 3, "base_channels": 8, "input_shape": (6, 48, 48)},
+    "null_hypothesis": {
+        "kind": "superres",
+        "base_channels": 8,
+        "lr_pool": 1,
+        "input_shape": (6, 64, 64),
+        "seed": 14,
+    },
+    "feature_profile": {"kind": "unet", "depth": 4, "base_channels": 8, "input_shape": (6, 48, 48)},
+}
+
+_MEMORY_DEFAULT_ENTRIES = {
+    "color_history_24x360x640": [[24, 360, 640]],
+    "pyramid_7x64x192x256": [[64, 192, 256]] * 7,
+    "empty": [],
+}
+
+# Every key a scenario's options object may hold, with its default.
+_OPTION_DEFAULTS = {
+    "policy_sweep": {"presets": ["delta_l", "delta_h", "n5", "n2", "motion", "nonlinear"]},
+    "ablation_levels": {"unet_depth": 4, "unetpp_depth": 2, "base_channels": 8, "input_hw": 48},
+    "null_hypothesis": {"corruption_seed": 3, "noise_scales": [0.5, 2.0]},
+    "superres_tradeoff": {
+        "reference_hw": 192,
+        "small_input_scale": 4,
+        "large_input_scale": 3,
+        "base_channels": 8,
+        "lr_pool": 2,
+        "policies": ["n5", "delta_h", "delta_l"],
+    },
+    "memory_report": {"entries": _MEMORY_DEFAULT_ENTRIES},
+    "feature_profile": {},
+}
+# The options that list policy presets.
+_PRESET_OPTIONS = {("policy_sweep", "presets"), ("superres_tradeoff", "policies")}
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -215,6 +257,22 @@ def _fits(value, kind) -> bool:
 
 def _type_name(kind) -> str:
     return kind.__name__ if isinstance(kind, type) else str(kind)
+
+
+def _like(value, default) -> bool:
+    """Whether a JSON value has the type of an option's default: each item
+    of a list that of the default's first item, an int where a float is."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_like(item, default[0]) for item in value)
+    if isinstance(default, (int, float)):
+        return _fits(value, type(default))
+    return isinstance(value, type(default))
+
+
+def _json_type(default) -> str:
+    if isinstance(default, list):
+        return f"array of {_json_type(default[0])}s"
+    return {int: "integer", float: "number", str: "string", dict: "object"}[type(default)]
 
 
 def validate_run_config(cfg: RunConfig) -> None:
@@ -266,11 +324,33 @@ def validate_run_config(cfg: RunConfig) -> None:
         raise ValueError(f"scene: {err}") from None
     if cfg.cache is not None and not isinstance(cfg.cache, str):
         raise ValueError(f"cache must be null or a string, got {cfg.cache!r}")
+    if not isinstance(cfg.out_dir, str):
+        raise ValueError(f"out_dir must be a string, got {cfg.out_dir!r}")
     for name, value in cfg.options.items():
         if name not in SCENARIO_NAMES:
             raise ValueError(f"options key {name!r} is not a scenario name")
         if not isinstance(value, dict):
             raise ValueError(f"options.{name} must be a JSON object, got {value!r}")
+        _check_options(name, value)
+
+
+def _check_options(name: str, options: dict) -> None:
+    """Each key must be an option of the scenario and have its default's
+    JSON type; a list of policy presets must name known presets."""
+    defaults = _OPTION_DEFAULTS[name]
+    for key, value in options.items():
+        if key not in defaults:
+            raise ValueError(f"options.{name} has no key {key!r}; allowed: {list(defaults)}")
+        if not _like(value, defaults[key]):
+            expected = _json_type(defaults[key])
+            raise ValueError(f"options.{name}.{key} must be a JSON {expected}, got {value!r}")
+        if (name, key) not in _PRESET_OPTIONS:
+            continue
+        unknown = [item for item in value if item not in _POLICY_PRESETS]
+        if unknown:
+            raise ValueError(
+                f"options.{name}.{key}: unknown policy presets {unknown}; pick from {_POLICY_PRESETS}"
+            )
 
 
 def _tuples(value):
@@ -312,7 +392,7 @@ def default_run_config(scenario: str = "all") -> RunConfig:
 
 
 def _options(cfg: RunConfig, scenario: str) -> dict:
-    return cfg.options.get(scenario, {})
+    return {**_OPTION_DEFAULTS[scenario], **cfg.options.get(scenario, {})}
 
 
 def _scene_config(cfg: RunConfig, **defaults) -> SceneConfig:
@@ -320,22 +400,34 @@ def _scene_config(cfg: RunConfig, **defaults) -> SceneConfig:
     return SceneConfig(**merged)
 
 
-def _network_params(cfg: RunConfig, **defaults) -> dict:
-    merged = {"seed": cfg.seed, **defaults, **cfg.network}
-    return merged
+def _network_params(cfg: RunConfig, scenario: str) -> dict:
+    return {"seed": cfg.seed, **_NETWORK_DEFAULTS[scenario], **cfg.network}
+
+
+def _builder(params: dict):
+    """The builder a network dict ({"kind": ..., params...}) names, and its
+    keyword arguments."""
+    kwargs = dict(params)
+    kind = kwargs.pop("kind", "unet")
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise ValueError(f"unknown network kind {kind!r}")
+    return _BUILDERS[kind], kwargs
 
 
 def _build_network(params: dict):
-    """Build a NetworkSpec from a config dict: {"kind": ..., params...}."""
-    params = dict(params)
-    kind = params.pop("kind", "unet")
-    if kind == "unet":
-        return build_unet(**params)
-    if kind == "unetpp":
-        return build_unetpp(**params)
-    if kind == "superres":
-        return build_superres(**params)
-    raise ValueError(f"unknown network kind {kind!r}")
+    build, kwargs = _builder(params)
+    return build(**kwargs)
+
+
+def _check_network(cfg: RunConfig, names) -> None:
+    """The network section must fit the builder each named scenario calls."""
+    for name in names:
+        if name in _NETWORK_DEFAULTS:
+            build, kwargs = _builder(_network_params(cfg, name))
+            try:
+                inspect.signature(build).bind(**kwargs)
+            except TypeError as err:
+                raise ValueError(f"network for scenario {name}: {err}") from None
 
 
 def _apply_cache_label(spec, kind: str, label: str | None):
@@ -433,14 +525,12 @@ def scenario_policy_sweep(cfg: RunConfig) -> list[Table]:
     counts and quality against the no-cache baseline, one row per policy.
     """
     frames = cfg.frames or 10
-    params = _network_params(cfg, kind="unet", depth=3, base_channels=8, input_shape=(6, 48, 48))
-    spec = _apply_cache_label(_build_network(params), params.get("kind", "unet"), cfg.cache)
+    params = _network_params(cfg, "policy_sweep")
+    spec = _apply_cache_label(_build_network(params), params["kind"], cfg.cache)
     scene = _scene_config(
         cfg, height=48, width=48, channels=params["input_shape"][0], pan_speed=3.0, base_cell=8
     )
-    presets = _options(cfg, "policy_sweep").get(
-        "presets", ["delta_l", "delta_h", "n5", "n2", "motion", "nonlinear"]
-    )
+    presets = _options(cfg, "policy_sweep")["presets"]
     sequence = generate(scene, frames)
     memo = full_passes([spec], sequence)
     summary_rows, frame_rows = [], []
@@ -477,10 +567,10 @@ def scenario_ablation_levels(cfg: RunConfig) -> list[Table]:
     """
     frames = cfg.frames or 20
     opts = _options(cfg, "ablation_levels")
-    unet_depth = opts.get("unet_depth", 4)
-    unetpp_depth = opts.get("unetpp_depth", 2)
-    base = opts.get("base_channels", 8)
-    hw = opts.get("input_hw", 48)
+    unet_depth = opts["unet_depth"]
+    unetpp_depth = opts["unetpp_depth"]
+    base = opts["base_channels"]
+    hw = opts["input_hw"]
     scene = _scene_config(cfg, height=hw, width=hw, channels=6, pan_speed=0.75)
     sequence = generate(scene, frames)
     policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
@@ -537,15 +627,13 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     """
     frames = cfg.frames or 40
     opts = _options(cfg, "null_hypothesis")
-    params = _network_params(
-        cfg, kind="superres", base_channels=8, lr_pool=1, input_shape=(6, 64, 64), seed=14
-    )
+    params = _network_params(cfg, "null_hypothesis")
     spec = _build_network(params)
     scene = _scene_config(
         cfg, seed=21, height=64, width=64, channels=params["input_shape"][0], pan_speed=0.4
     )
-    corruption_seed = opts.get("corruption_seed", 3)
-    noise_scales = opts.get("noise_scales", [0.5, 2.0])
+    corruption_seed = opts["corruption_seed"]
+    noise_scales = opts["noise_scales"]
     policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
     sequence = generate(scene, frames)
     memo = full_passes([spec], sequence)
@@ -621,12 +709,12 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     """
     frames = cfg.frames or 40
     opts = _options(cfg, "superres_tradeoff")
-    reference_hw = opts.get("reference_hw", 192)
-    small_scale = opts.get("small_input_scale", 4)
-    large_scale = opts.get("large_input_scale", 3)
-    base = opts.get("base_channels", 8)
-    lr_pool = opts.get("lr_pool", 2)
-    cached_policies = opts.get("policies", ["n5", "delta_h", "delta_l"])
+    reference_hw = opts["reference_hw"]
+    small_scale = opts["small_input_scale"]
+    large_scale = opts["large_input_scale"]
+    base = opts["base_channels"]
+    lr_pool = opts["lr_pool"]
+    cached_policies = opts["policies"]
     if reference_hw % small_scale or reference_hw % large_scale:
         raise ValueError("reference resolution must divide by both scale factors")
 
@@ -726,12 +814,6 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     ]
 
 
-_MEMORY_DEFAULT_ENTRIES = {
-    "color_history_24x360x640": [[24, 360, 640]],
-    "pyramid_7x64x192x256": [[64, 192, 256]] * 7,
-    "empty": [],
-}
-
 _MEMORY_EXPECTED_BYTES = {
     "color_history_24x360x640": 22_118_400,
     "pyramid_7x64x192x256": 88_080_384,
@@ -741,8 +823,7 @@ _MEMORY_EXPECTED_BYTES = {
 
 def scenario_memory_report(cfg: RunConfig) -> list[Table]:
     """Cache memory footprint per workload: 4 bytes per stored value."""
-    opts = _options(cfg, "memory_report")
-    entries = opts.get("entries", _MEMORY_DEFAULT_ENTRIES)
+    entries = _options(cfg, "memory_report")["entries"]
     rows = []
     for label, shapes in entries.items():
         state = CacheState(
@@ -761,7 +842,7 @@ def scenario_memory_report(cfg: RunConfig) -> list[Table]:
 def scenario_feature_profile(cfg: RunConfig) -> list[Table]:
     """Per-depth feature drift (SMAPE against frame 0) on a panning scene."""
     frames = cfg.frames or 12
-    params = _network_params(cfg, kind="unet", depth=4, base_channels=8, input_shape=(6, 48, 48))
+    params = _network_params(cfg, "feature_profile")
     spec = _build_network(params)
     scene = _scene_config(
         cfg, height=48, width=48, channels=params["input_shape"][0], pan_speed=1.0, base_cell=24
@@ -803,6 +884,7 @@ def run_scenarios(cfg: RunConfig, out_dir=None, only: str | None = None, log=pri
     validate_run_config(cfg)
     target = only or cfg.scenario
     names = list(SCENARIO_NAMES) if target == "all" else [target]
+    _check_network(cfg, names)
     destination = Path(out_dir if out_dir is not None else cfg.out_dir)
     status = 0
     for name in names:

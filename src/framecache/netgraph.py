@@ -4,9 +4,9 @@ A network is a DAG of blocks. Each block owns an ordered list of input
 slots; a slot receives exactly one producer tensor (another block's output
 or the network input), optionally resampled (``maxpool2`` / ``upsample2``)
 before all slots are concatenated along channels and fed to the block's
-primitive sequence. A CacheConfig names the blocks that stay live on cached
-frames and the edges whose producer-side tensors are stored on refresh
-frames and substituted at the consumer slots afterwards.
+primitive sequence. A CacheConfig names the edges whose producer-side
+tensors are stored on refresh frames and substituted at the consumer slots
+afterwards; the blocks a cached frame runs follow from those edges.
 """
 
 from dataclasses import dataclass, field, replace
@@ -91,21 +91,18 @@ class Edge:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Which blocks run on cached frames and which edges are substituted."""
+    """The edges whose stored tensors cached frames substitute."""
 
     label: str
     cached_edges: frozenset[str]
-    live_blocks: frozenset[str]
-
-
-def full_live_config(block_names, label: str = "none") -> CacheConfig:
-    """A no-op config: every block live, nothing cached."""
-    return CacheConfig(label=label, cached_edges=frozenset(), live_blocks=frozenset(block_names))
 
 
 @dataclass(frozen=True, eq=False)
 class NetworkSpec:
-    """Immutable network description plus derived execution metadata."""
+    """Immutable network description plus derived execution metadata.
+
+    live_blocks are the blocks a cached frame runs, in order.
+    """
 
     blocks: dict[str, Block]
     edges: tuple[Edge, ...]
@@ -115,13 +112,14 @@ class NetworkSpec:
     order: tuple[str, ...]
     shapes: dict[str, tuple[int, int, int]]
     block_flops: dict[str, int]
+    live_blocks: tuple[str, ...]
 
     @property
     def full_flops(self) -> int:
         return sum(self.block_flops.values())
 
     def cached_flops(self) -> int:
-        return sum(self.block_flops[name] for name in self.cache_config.live_blocks)
+        return sum(self.block_flops[name] for name in self.live_blocks)
 
     def edge_by_name(self, name: str) -> Edge:
         for edge in self.edges:
@@ -220,41 +218,34 @@ def _infer_shapes(
     return shapes, flops
 
 
-def validate_cache_config(
-    blocks: dict[str, Block],
+def _live_blocks(
     edges: tuple[Edge, ...],
+    order: tuple[str, ...],
     output_block: str,
-    config: CacheConfig,
-) -> None:
-    """Static satisfiability check for a cache configuration.
+    cached_edges: frozenset[str],
+) -> tuple[str, ...]:
+    """The output block and every block it reaches backwards without
+    crossing a cached edge, in order.
 
-    Every live block must be able to source each input slot from another
-    live block, the network input, or a cached edge; cached edges must not
-    be produced by live blocks; the output block must stay live.
+    Raises ValueError if a cached edge does not exist or leaves one of
+    these blocks.
     """
-    edge_names = {edge.name: edge for edge in edges}
-    for name in config.cached_edges:
-        if name not in edge_names:
+    producers = {edge.name: edge.src for edge in edges}
+    for name in cached_edges:
+        if name not in producers:
             raise ValueError(f"cached edge {name!r} does not exist")
-    for name in config.live_blocks:
-        if name not in blocks:
-            raise ValueError(f"live block {name!r} does not exist")
-    if output_block not in config.live_blocks:
-        raise ValueError(f"output block {output_block!r} must be live")
-    for name in config.cached_edges:
-        src = edge_names[name].src
-        if src in config.live_blocks:
-            raise ValueError(f"cached edge {name!r} is produced by live block {src!r}")
-    for edge in edges:
-        if edge.dst not in config.live_blocks:
-            continue
-        if edge.src == INPUT or edge.src in config.live_blocks:
-            continue
-        if edge.name not in config.cached_edges:
-            raise ValueError(
-                f"live block {edge.dst!r} needs edge {edge.name!r} which is "
-                "neither live-produced nor cached"
+    live = {output_block}
+    for name in reversed(order):
+        if name in live:
+            live.update(
+                edge.src
+                for edge in edges
+                if edge.dst == name and edge.src != INPUT and edge.name not in cached_edges
             )
+    for name in cached_edges:
+        if producers[name] in live:
+            raise ValueError(f"cached edge {name!r} is produced by live block {producers[name]!r}")
+    return tuple(name for name in order if name in live)
 
 
 def make_network_spec(
@@ -288,9 +279,11 @@ def make_network_spec(
     edge_tuple = tuple(edges)
     order = _toposort(by_name, edge_tuple)
     shapes, block_flops = _infer_shapes(by_name, edge_tuple, tuple(input_shape), order)
+    unused = set(order) - set(_live_blocks(edge_tuple, order, output_block, frozenset()))
+    if unused:
+        raise ValueError(f"blocks {sorted(unused)} do not feed output block {output_block!r}")
     if cache_config is None:
-        cache_config = full_live_config(by_name)
-    validate_cache_config(by_name, edge_tuple, output_block, cache_config)
+        cache_config = CacheConfig("none", frozenset())
     return NetworkSpec(
         blocks=by_name,
         edges=edge_tuple,
@@ -300,12 +293,13 @@ def make_network_spec(
         order=order,
         shapes=shapes,
         block_flops=block_flops,
+        live_blocks=_live_blocks(edge_tuple, order, output_block, cache_config.cached_edges),
     )
 
 
 def replace_cache_config(spec: NetworkSpec, config: CacheConfig) -> NetworkSpec:
-    validate_cache_config(spec.blocks, spec.edges, spec.output_block, config)
-    return replace(spec, cache_config=config)
+    live = _live_blocks(spec.edges, spec.order, spec.output_block, config.cached_edges)
+    return replace(spec, cache_config=config, live_blocks=live)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +351,7 @@ def _is_encoder(ident: BlockId) -> bool:
 def _execute(
     spec: NetworkSpec,
     x: np.ndarray,
-    live: frozenset[str] | None,
+    names: tuple[str, ...],
     cache: dict[str, np.ndarray] | None,
     edges,
 ) -> ForwardRecord:
@@ -367,9 +361,7 @@ def _execute(
     computed: dict[str, np.ndarray] = {INPUT: x}
     flops = 0
     executed: list[str] = []
-    for name in spec.order:
-        if live is not None and name not in live:
-            continue
+    for name in names:
         block = spec.blocks[name]
         parts = []
         for slot, slot_op in enumerate(block.slot_ops):
@@ -411,14 +403,14 @@ def forward_full(spec: NetworkSpec, x: np.ndarray, edges=None) -> ForwardRecord:
     """
     if edges is None:
         edges = spec.cache_config.cached_edges
-    return _execute(spec, x, live=None, cache=None, edges=edges)
+    return _execute(spec, x, spec.order, cache=None, edges=edges)
 
 
 def forward_cached(
     spec: NetworkSpec, x: np.ndarray, cache: dict[str, np.ndarray]
 ) -> ForwardRecord:
     """Evaluate only the live blocks, substituting cached edge tensors."""
-    return _execute(spec, x, live=spec.cache_config.live_blocks, cache=cache, edges=())
+    return _execute(spec, x, spec.live_blocks, cache=cache, edges=())
 
 
 def feature_delta_profile(spec: NetworkSpec, inputs: list[np.ndarray]) -> dict[int, list[float]]:

@@ -150,7 +150,7 @@ def test_criterion_03_flops_ledger():
             specs += [spec, replace_cache_config(spec, unetpp_config_a(depth))]
         specs.append(build_superres((6, 16, 16), base_channels=4, lr_pool=1))
         for spec in specs:
-            live = spec.cache_config.live_blocks
+            live = spec.live_blocks
             skipped = sum(f for n, f in spec.block_flops.items() if n not in live)
             assert spec.full_flops == spec.cached_flops() + skipped
 

@@ -116,6 +116,16 @@ class TestRunCommand:
         b = (out_b / "policy_sweep_summary.csv").read_bytes()
         assert a != b
 
+    def test_network_section_checked_against_the_selected_scenario(self, tmp_path):
+        # null_hypothesis's superres builder takes no depth, but policy_sweep's U-Net does.
+        config = write_config(tmp_path, scenario="all", frames=4, network={"depth": 3})
+        out_dir = tmp_path / "out"
+        result = run_cli(
+            "run", "--config", str(config), "--out", str(out_dir), "--scenario", "policy_sweep"
+        )
+        assert result.returncode == 0, result.stderr
+        assert (out_dir / "policy_sweep_summary.csv").exists()
+
     def test_same_seed_reproduces_bytes(self, tmp_path):
         config = write_config(tmp_path, scenario="policy_sweep", frames=4, seed=3)
         out_a = tmp_path / "a"
@@ -182,6 +192,14 @@ class TestErrorHandling:
             ({"scene": 5}, "scene must be"),
             ({"cache": 5}, "cache"),
             ({"options": {"policy_sweep": 5}}, "options.policy_sweep"),
+            ({"out_dir": 5}, "out_dir"),
+            ({"network": {"depth": 3}}, "network for scenario null_hypothesis"),
+            ({"network": {"kind": "superres", "depth": 3}}, "network for scenario policy_sweep"),
+            ({"options": {"policy_sweep": {"presets": 5}}}, "options.policy_sweep.presets"),
+            ({"options": {"policy_sweep": {"presets": ["n5", "n7"]}}}, "['n7']"),
+            ({"options": {"superres_tradeoff": {"policies": ["fast"]}}}, "['fast']"),
+            ({"options": {"null_hypothesis": {"noise_scales": [0.5, "2"]}}}, "noise_scales"),
+            ({"options": {"ablation_levels": {"unet_dpth": 3}}}, "'unet_dpth'"),
         ],
     )
     def test_bad_field_rejected_before_any_scenario(self, tmp_path, fields, named):

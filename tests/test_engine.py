@@ -419,12 +419,12 @@ class TestFullPassMemo:
             full_passes([spec, other], frames)
 
 
-OPERAND_CASES = [("unet", 1), ("unet", 2), ("unet", 3), ("unetpp", "a"), ("unetpp", "b")]
-OPERAND_CASES += [("superres", pool) for pool in (0, 1, 2)]
+RUN_CASES = [("unet", 1), ("unet", 2), ("unet", 3), ("unetpp", "a"), ("unetpp", "b")]
+RUN_CASES += [("superres", pool) for pool in (0, 1, 2)]
 
 
 @functools.cache
-def operand_case(case):
+def run_case(case):
     """A spec, the drifting frames and their memo."""
     family, variant = case
     if family == "unet":
@@ -438,7 +438,7 @@ def operand_case(case):
     return spec, frames, full_passes([spec], frames)
 
 
-class TestKeptOperands:
+class TestRunMatchesFreshPasses:
     """A run's outputs match passes run afresh, bit for bit.
 
     The oracle runs a full pass on refresh frames, and on cached frames
@@ -447,7 +447,7 @@ class TestKeptOperands:
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
-        case=st.sampled_from(OPERAND_CASES),
+        case=st.sampled_from(RUN_CASES),
         policy=st.one_of(
             st.sampled_from(PRESETS).map(lambda name: preset_policy(name, MEMO_FRAMES)),
             st.integers(1, 4).map(EveryN),
@@ -464,7 +464,7 @@ class TestKeptOperands:
         use_memo=st.booleans(),
     )
     def test_run_matches_fresh_passes(self, case, policy, corruption, use_memo):
-        spec, frames, memo = operand_case(case)
+        spec, frames, memo = run_case(case)
         report = run_sequence(spec, frames, policy, corruption, memo=memo if use_memo else None)
         entries = None
         for frame, rec in zip(frames, report.frames, strict=True):

@@ -77,6 +77,14 @@ class TestRunConfigParsing:
         cfg = minimal_config(options={"policy_sweep": {"presets": ["n5"]}})
         assert cfg.options["policy_sweep"] == {"presets": ["n5"]}
 
+    def test_option_values_take_their_defaults_json_type(self):
+        # An integer may stand for a number, but nothing else for an integer.
+        cfg = minimal_config(options={"null_hypothesis": {"noise_scales": [1, 2.5]}})
+        assert cfg.options["null_hypothesis"]["noise_scales"] == [1, 2.5]
+        for value in (3.0, True, "3"):
+            with pytest.raises(ValueError, match="options.ablation_levels.unet_depth"):
+                minimal_config(options={"ablation_levels": {"unet_depth": value}})
+
     def test_json_lists_coerced_to_tuples(self):
         cfg = minimal_config(
             scene={"pan_direction": [3, 4], "pan_schedule": [[5, 0.2], [5, 4.0]]},

@@ -5,8 +5,12 @@ definition alone (channel widths, spatial sizes, kernel sizes) so the
 library's per-block ledger is checked against an independent derivation.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecache import engine, netgraph
 from framecache.builders import (
@@ -143,9 +147,9 @@ class TestUnetStructure:
         assert unet_level_config(2, 1).cached_edges == frozenset({"enc1->dec0:0"})
 
     def test_level_config_live_blocks(self):
-        config = unet_level_config(4, 1)
-        assert config.live_blocks == frozenset({"enc0", "dec0", "head"})
-        assert config.label == "unet_level_1"
+        spec = set_unet_level(build_unet(4, 4, (3, 16, 16)), 1)
+        assert frozenset(spec.live_blocks) == frozenset({"enc0", "dec0", "head"})
+        assert spec.cache_config.label == "unet_level_1"
 
     def test_level_config_range_checked(self):
         with pytest.raises(ValueError):
@@ -186,12 +190,14 @@ class TestUnetppStructure:
     def test_config_b_edges(self):
         config = unetpp_config_b(2)
         assert config.cached_edges == frozenset({"x1.0->x0.1:1", "x1.1->x0.2:2"})
-        assert config.live_blocks == frozenset({"x0.0", "x0.1", "x0.2", "head"})
+        spec = replace_cache_config(build_unetpp(2, 4, (3, 16, 16)), config)
+        assert frozenset(spec.live_blocks) == frozenset({"x0.0", "x0.1", "x0.2", "head"})
 
     def test_config_a_edges(self):
         config = unetpp_config_a(2)
         assert config.cached_edges == frozenset({"x0.1->x0.2:1"})
-        assert config.live_blocks == frozenset(
+        spec = replace_cache_config(build_unetpp(2, 4, (3, 16, 16)), config)
+        assert frozenset(spec.live_blocks) == frozenset(
             {"x0.0", "x1.0", "x2.0", "x1.1", "x0.2", "head"}
         )
 
@@ -231,7 +237,7 @@ class TestMultibranchStructure:
             [("a", ops), ("b", ops), ("c", ops)], (identity_conv(9),), (3, 8, 8)
         )
         assert spec.cache_config.cached_edges == frozenset({"a->fuse:0", "b->fuse:1"})
-        assert spec.cache_config.live_blocks == frozenset({"c", "fuse"})
+        assert frozenset(spec.live_blocks) == frozenset({"c", "fuse"})
         assert spec.cache_config.label == "multibranch[a,b]"
 
     def test_superres_branch_layout(self):
@@ -310,7 +316,7 @@ class TestFlopsAccounting:
             cases.append(replace_cache_config(spec, unetpp_config_a(depth)))
         cases.append(build_superres(input_shape=(6, 16, 16), base_channels=4, lr_pool=1))
         for spec in cases:
-            live = spec.cache_config.live_blocks
+            live = spec.live_blocks
             skipped = sum(f for name, f in spec.block_flops.items() if name not in live)
             assert spec.cached_flops() + skipped == spec.full_flops
 
@@ -358,7 +364,7 @@ class TestConvInstrumentationContract:
         assert {id(p) for p in calls} == {id(p) for p in convs(spec.blocks)}
         calls.clear()
         forward_cached(spec, x, full.edge_tensors)
-        live = convs(spec.cache_config.live_blocks)
+        live = convs(spec.live_blocks)
         assert len(calls) == len(live) == 5
         assert {id(p) for p in calls} == {id(p) for p in live}
 
@@ -396,7 +402,7 @@ class TestConvInstrumentationContract:
         assert kinds == ["forward_full" if f.refreshed else "forward_cached" for f in report.frames]
         assert kinds.count("forward_cached") >= 2
         for name, made in passes:
-            expected = convs(spec.blocks if name == "forward_full" else spec.cache_config.live_blocks)
+            expected = convs(spec.blocks if name == "forward_full" else spec.live_blocks)
             assert sorted(map(id, made)) == sorted(map(id, expected))
 
 
@@ -412,7 +418,7 @@ class TestSubstitutionEquivalence:
         assert np.array_equal(full.output, cached.output)
         assert cached.flops_executed == spec.cached_flops()
         assert full.flops_executed == spec.full_flops
-        assert set(cached.executed_blocks) == set(spec.cache_config.live_blocks)
+        assert cached.executed_blocks == spec.live_blocks
 
     def test_unet_all_depths_and_levels(self):
         for depth in (2, 3, 4):
@@ -492,54 +498,68 @@ class TestForwardValidation:
             assert value.shape == spec.shapes[src]
 
 class TestCacheConfigValidation:
-    """Static satisfiability rules for cache configurations."""
-
-    def test_output_block_must_stay_live(self):
-        spec = build_unet(2, 4, (3, 16, 16))
-        bad = CacheConfig(
-            label="bad",
-            cached_edges=frozenset({"enc1->dec0:0"}),
-            live_blocks=frozenset({"enc0", "dec0"}),
-        )
-        with pytest.raises(ValueError, match="must be live"):
-            replace_cache_config(spec, bad)
+    """The checks left on cached edges once the live blocks are derived."""
 
     def test_cached_edge_from_live_block_rejected(self):
+        # enc0 stays live through enc1, so its skip into dec0 cannot be cached.
         spec = build_unet(2, 4, (3, 16, 16))
-        bad = CacheConfig(
-            label="bad",
-            cached_edges=frozenset({"enc1->dec0:0"}),
-            live_blocks=frozenset({"enc0", "enc1", "dec0", "head"}),
-        )
-        with pytest.raises(ValueError, match="produced by live block"):
-            replace_cache_config(spec, bad)
-
-    def test_unsourced_live_input_rejected(self):
-        spec = build_unet(2, 4, (3, 16, 16))
-        bad = CacheConfig(
-            label="bad",
-            cached_edges=frozenset(),
-            live_blocks=frozenset({"enc0", "dec0", "head"}),
-        )
-        with pytest.raises(ValueError, match="neither live-produced nor cached"):
-            replace_cache_config(spec, bad)
+        with pytest.raises(ValueError, match="produced by live block 'enc0'"):
+            replace_cache_config(spec, CacheConfig("bad", frozenset({"enc0->dec0:1"})))
 
     def test_unknown_names_rejected(self):
         spec = build_unet(2, 4, (3, 16, 16))
         with pytest.raises(ValueError, match="does not exist"):
-            replace_cache_config(
-                spec,
-                CacheConfig("bad", frozenset({"nope->dec0:0"}), frozenset({"head"})),
-            )
-        with pytest.raises(ValueError, match="does not exist"):
-            replace_cache_config(
-                spec,
-                CacheConfig(
-                    "bad",
-                    frozenset({"enc1->dec0:0"}),
-                    frozenset({"enc0", "dec0", "head", "ghost"}),
-                ),
-            )
+            replace_cache_config(spec, CacheConfig("bad", frozenset({"nope->dec0:0"})))
+
+
+@functools.cache
+def cut_spec(family, depth):
+    build = build_unet if family == "unet" else build_unetpp
+    return build(depth, 4, (3, 16, 16), seed=depth)
+
+
+def feeds_output(spec, block, cached):
+    """Whether block reaches the output block along edges that are not cached."""
+    frontier, seen = [block], {block}
+    while frontier:
+        name = frontier.pop()
+        if name == spec.output_block:
+            return True
+        for edge in spec.edges:
+            if edge.src == name and edge.name not in cached and edge.dst not in seen:
+                seen.add(edge.dst)
+                frontier.append(edge.dst)
+    return False
+
+
+class TestArbitraryCuts:
+    """Any set of cached edges either leaves a live block, or the derived
+    live blocks reproduce the full pass bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from([("unet", 3), ("unet", 4), ("unetpp", 2), ("unetpp", 3)]),
+        data=st.data(),
+    )
+    def test_cut_is_rejected_or_exact(self, case, data):
+        spec = cut_spec(*case)
+        inner = sorted(edge.name for edge in spec.edges if edge.src != INPUT)
+        cut = data.draw(st.frozensets(st.sampled_from(inner)), label="cached_edges")
+        producers = [spec.edge_by_name(name).src for name in cut]
+        try:
+            spec = replace_cache_config(spec, CacheConfig("cut", cut))
+        except ValueError as err:
+            assert "produced by live block" in str(err)
+            assert any(feeds_output(spec, src, cut) for src in producers)
+            return
+        assert not any(feeds_output(spec, src, cut) for src in producers)
+        assert spec.live_blocks == tuple(n for n in spec.order if feeds_output(spec, n, cut))
+        x = random_input(spec, len(cut))
+        full = forward_full(spec, x)
+        cached = forward_cached(spec, x, full.edge_tensors)
+        assert cached.output.tobytes() == full.output.tobytes()
+        assert cached.executed_blocks == spec.live_blocks
+        assert cached.flops_executed == spec.cached_flops()
 
 
 class TestManualGraphs:
@@ -564,7 +584,7 @@ class TestManualGraphs:
     def test_default_config_is_fully_live(self):
         blocks, edges = self.make_chain()
         spec = make_network_spec(blocks, edges, (3, 8, 8), "b")
-        assert spec.cache_config.live_blocks == frozenset({"a", "b"})
+        assert spec.live_blocks == ("a", "b")
         assert spec.cache_config.cached_edges == frozenset()
         assert spec.cached_flops() == spec.full_flops
 
@@ -588,6 +608,12 @@ class TestManualGraphs:
             make_network_spec(blocks, edges + [Edge("a", "ghost", 0)], (3, 8, 8), "b")
         with pytest.raises(ValueError, match="slot that does not exist"):
             make_network_spec(blocks, edges + [Edge("a", "b", 1)], (3, 8, 8), "b")
+
+    def test_block_outside_the_output_cone_rejected(self):
+        # Every block must feed the output, so no config can leave one idle.
+        blocks, edges = self.make_chain()
+        with pytest.raises(ValueError, match=r"blocks \['b'\] do not feed output block 'a'"):
+            make_network_spec(blocks, edges, (3, 8, 8), "a")
 
     def test_unknown_output_rejected(self):
         blocks, edges = self.make_chain()

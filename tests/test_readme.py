@@ -1,6 +1,9 @@
-"""The README's Example section runs against the current library API."""
+"""The README's Example section and example config run against the
+current library API and command line."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -17,3 +20,17 @@ def test_readme_example_runs(capsys):
     assert int(refresh_count) >= 1
     assert 0.0 <= float(eliminated) < 1.0
     assert float(mean_mse) >= 0.0
+
+
+def test_readme_config_runs(tmp_path):
+    section = README.read_text().split("\n## Config file schema\n", 1)[1]
+    config = tmp_path / "run.json"
+    config.write_text(re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1))
+    out_dir = tmp_path / "out"
+    command = [sys.executable, "-m", "framecache.cli", "run", "--config", str(config)]
+    result = subprocess.run(command + ["--out", str(out_dir)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert sorted(path.name for path in out_dir.glob("*.csv")) == [
+        "policy_sweep_frames.csv",
+        "policy_sweep_summary.csv",
+    ]
