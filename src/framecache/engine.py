@@ -1,11 +1,12 @@
 """Sequence runner: drives a network over frames under a refresh policy.
 
-Refresh frames run the full network and atomically replace the cache
-(entry tensors plus, for input-delta policies, the retained reference
-input). Cached frames run only the live blocks with the stored edge
-tensors substituted. An optional corruption hook rewrites the entries
-right after each refresh, which is how the sanity study replaces the
-cache with zeros, random values or additive noise.
+Refresh frames run the full network and replace the cache entries, a
+dict of the producer-side tensors of the cached edges; an input-delta
+policy's retained input lives in its PolicyState. Cached frames run only
+the live blocks with the stored edge tensors substituted. An optional
+corruption hook rewrites the entries right after each refresh, which is
+how the sanity study replaces the cache with zeros, random values or
+additive noise.
 
 A full-pass memo (full_passes) holds one read-only full pass per frame
 for a network shared by several cache configurations. Handed to
@@ -20,7 +21,6 @@ import numpy as np
 
 from .netgraph import ForwardRecord, NetworkSpec, forward_cached, forward_full
 from .policies import (
-    DeltaSmape,
     PolicyState,
     RefreshPolicy,
     initial_state,
@@ -33,7 +33,6 @@ BYTES_PER_VALUE = 4  # float32 entries
 
 __all__ = [
     "BYTES_PER_VALUE",
-    "CacheState",
     "Corruption",
     "FrameRecord",
     "FullPasses",
@@ -46,19 +45,13 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class CacheState:
-    """Stored producer-side edge tensors plus the input-delta reference."""
-
-    entries: dict[str, np.ndarray]
-    reference_input: np.ndarray | None = None
-
-
-def cache_bytes_report(state: CacheState) -> int:
+def cache_bytes_report(
+    entries: dict[str, np.ndarray], reference_input: np.ndarray | None = None
+) -> int:
     """Resident cache size: 4 bytes per stored value, reference included."""
-    total = sum(entry.size for entry in state.entries.values())
-    if state.reference_input is not None:
-        total += state.reference_input.size
+    total = sum(entry.size for entry in entries.values())
+    if reference_input is not None:
+        total += reference_input.size
     return total * BYTES_PER_VALUE
 
 
@@ -85,33 +78,33 @@ class Corruption:
 
 
 def corrupt_cache(
-    state: CacheState, mode: Corruption, rng: np.random.Generator | None = None
-) -> CacheState:
-    """Return a CacheState with rewritten entries; shapes are preserved."""
-    if not state.entries:
+    entries: dict[str, np.ndarray], mode: Corruption, rng: np.random.Generator | None = None
+) -> dict[str, np.ndarray]:
+    """Return the entries rewritten, in the same order; shapes are preserved."""
+    if not entries:
         raise ValueError("cannot corrupt an empty cache")
     if rng is None:
         rng = np.random.default_rng(mode.seed)
-    entries: dict[str, np.ndarray] = {}
-    for name, entry in state.entries.items():
+    out: dict[str, np.ndarray] = {}
+    for name, entry in entries.items():
         if mode.kind == "zero":
-            entries[name] = np.zeros_like(entry)
+            out[name] = np.zeros_like(entry)
         elif mode.kind == "uniform_random":
             lo, hi = float(entry.min()), float(entry.max())
-            entries[name] = rng.uniform(lo, hi, size=entry.shape).astype(np.float32)
+            out[name] = rng.uniform(lo, hi, size=entry.shape).astype(np.float32)
         elif mode.kind == "normal_random":
             lo, hi = float(entry.min()), float(entry.max())
             mean = 0.5 * (lo + hi)
             std = (hi - lo) / math.sqrt(12.0)
-            entries[name] = rng.normal(mean, std, size=entry.shape).astype(np.float32)
+            out[name] = rng.normal(mean, std, size=entry.shape).astype(np.float32)
         else:  # noise
             if mode.sigma_scale == 0.0:
-                entries[name] = entry
+                out[name] = entry
             else:
                 std = mode.sigma_scale * float(entry.std())
                 noise = rng.normal(0.0, std, size=entry.shape).astype(np.float32)
-                entries[name] = entry + noise
-    return CacheState(entries=entries, reference_input=state.reference_input)
+                out[name] = entry + noise
+    return out
 
 
 @dataclass(eq=False)
@@ -222,36 +215,28 @@ def run_sequence(
                 f"memo holds {len(memo.records)} frames, the sequence {len(frame_list)}"
             )
     state: PolicyState = initial_state(policy, len(frame_list))
-    cache = CacheState(entries={})
+    entries: dict[str, np.ndarray] = {}
     records: list[FrameRecord] = []
     refresh_count = 0
-    full_flops = spec.full_flops
     for index, frame in enumerate(frame_list):
         metric = policy_metric(policy, state, frame)
-        refreshed = should_refresh(policy, state, frame)
+        refreshed = should_refresh(policy, state, metric)
         if refreshed:
             if memo is None:
                 result = forward_full(spec, frame.input)
-                entries = result.edge_tensors
             else:
                 if frame.input is not memo.inputs[index]:
                     raise ValueError(f"frame {index} input is not the memo's input")
                 result = memo.records[index]
-                # The order _execute records edges in, so corruption draws
-                # in the same order as on a pass without the memo.
-                entries = {
-                    name: result.edge_tensors[name] for name in spec.cache_config.cached_edges
-                }
-            cache = CacheState(
-                entries=entries,
-                reference_input=frame.input if isinstance(policy, DeltaSmape) else None,
-            )
+            # The order _execute records edges in, so corruption draws in
+            # the same order with or without the memo.
+            entries = {name: result.edge_tensors[name] for name in spec.cache_config.cached_edges}
             if corruption is not None:
                 rng = np.random.default_rng([corruption.seed, index])
-                cache = corrupt_cache(cache, corruption, rng)
+                entries = corrupt_cache(entries, corruption, rng)
             refresh_count += 1
         else:
-            result = forward_cached(spec, frame.input, cache.entries)
+            result = forward_cached(spec, frame.input, entries)
         record_result(policy, state, frame, refreshed)
         records.append(
             FrameRecord(
@@ -265,8 +250,8 @@ def run_sequence(
     return SequenceReport(
         frames=records,
         refresh_count=refresh_count,
-        full_pass_flops=full_flops,
-        cache_bytes=cache_bytes_report(cache),
+        full_pass_flops=spec.full_flops,
+        cache_bytes=cache_bytes_report(entries, state.stored_input),
     )
 
 

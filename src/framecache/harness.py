@@ -40,14 +40,13 @@ from .builders import (
 from .engine import (
     Corruption,
     cache_bytes_report,
-    CacheState,
     full_passes,
     run_sequence,
 )
 from .metrics import aggregate, mse
 from .netgraph import feature_delta_profile, replace_cache_config
 from .ops import block_mean, repeat_nearest
-from .policies import EveryN, power_schedule, preset_policy
+from .policies import PRESETS, EveryN, power_schedule, preset_policy
 from .workload import FrameInput, SceneConfig, generate
 
 __all__ = [
@@ -81,7 +80,6 @@ SCENARIO_NAMES = (
     "feature_profile",
 )
 
-_POLICY_PRESETS = ("delta_l", "delta_h", "n5", "n2", "motion", "nonlinear", "no_update")
 # The preset of the scenarios that take their policy from the config.
 _DEFAULT_POLICY_PRESET = "n5"
 
@@ -218,7 +216,7 @@ _MEMORY_DEFAULT_ENTRIES = {
 
 # Every key a scenario's options object may hold, with its default.
 _OPTION_DEFAULTS = {
-    "policy_sweep": {"presets": ["delta_l", "delta_h", "n5", "n2", "motion", "nonlinear"]},
+    "policy_sweep": {"presets": [name for name in PRESETS if name != "no_update"]},
     "ablation_levels": {"unet_depth": 4, "unetpp_depth": 2, "base_channels": 8, "input_hw": 48},
     "null_hypothesis": {"corruption_seed": 3, "noise_scales": [0.5, 2.0]},
     "superres_tradeoff": {
@@ -261,18 +259,25 @@ def _type_name(kind) -> str:
 
 def _like(value, default) -> bool:
     """Whether a JSON value has the type of an option's default: each item
-    of a list that of the default's first item, an int where a float is."""
+    of a list (each value of an object) that of the default's first one,
+    an int where a float is."""
     if isinstance(default, list):
         return isinstance(value, list) and all(_like(item, default[0]) for item in value)
+    if isinstance(default, dict):
+        first = next(iter(default.values()))
+        return isinstance(value, dict) and all(_like(item, first) for item in value.values())
     if isinstance(default, (int, float)):
         return _fits(value, type(default))
     return isinstance(value, type(default))
 
 
-def _json_type(default) -> str:
+def _json_type(default, plural: str = "") -> str:
+    """An option default's JSON type, such as "array of numbers"."""
     if isinstance(default, list):
-        return f"array of {_json_type(default[0])}s"
-    return {int: "integer", float: "number", str: "string", dict: "object"}[type(default)]
+        return f"array{plural} of {_json_type(default[0], 's')}"
+    if isinstance(default, dict):
+        return f"object{plural} of {_json_type(next(iter(default.values())), 's')}"
+    return {int: "integer", float: "number", str: "string"}[type(default)] + plural
 
 
 def validate_run_config(cfg: RunConfig) -> None:
@@ -292,8 +297,8 @@ def validate_run_config(cfg: RunConfig) -> None:
         if not (isinstance(shape, (list, tuple)) and len(shape) == 3 and all(map(_is_int, shape))):
             raise ValueError(f"network.input_shape must be three integers, got {shape!r}")
     preset = cfg.policy.get("preset", _DEFAULT_POLICY_PRESET)
-    if preset not in _POLICY_PRESETS:
-        raise ValueError(f"unknown policy preset {preset!r}; pick from {_POLICY_PRESETS}")
+    if preset not in PRESETS:
+        raise ValueError(f"unknown policy preset {preset!r}; pick from {tuple(PRESETS)}")
     # A preset's policy class does not depend on the horizon.
     policy = preset_policy(preset, 1)
     fields = {f.name: f.type for f in dataclasses.fields(policy)}
@@ -336,7 +341,8 @@ def validate_run_config(cfg: RunConfig) -> None:
 
 def _check_options(name: str, options: dict) -> None:
     """Each key must be an option of the scenario and have its default's
-    JSON type; a list of policy presets must name known presets."""
+    JSON type; a list of policy presets must name known presets, and a
+    memory_report shape non-negative dimensions."""
     defaults = _OPTION_DEFAULTS[name]
     for key, value in options.items():
         if key not in defaults:
@@ -344,12 +350,16 @@ def _check_options(name: str, options: dict) -> None:
         if not _like(value, defaults[key]):
             expected = _json_type(defaults[key])
             raise ValueError(f"options.{name}.{key} must be a JSON {expected}, got {value!r}")
+        if (name, key) == ("memory_report", "entries"):
+            for label, shapes in value.items():
+                if any(dim < 0 for shape in shapes for dim in shape):
+                    raise ValueError(f"options.{name}.{key}: {label!r} has a negative dimension")
         if (name, key) not in _PRESET_OPTIONS:
             continue
-        unknown = [item for item in value if item not in _POLICY_PRESETS]
+        unknown = [item for item in value if item not in PRESETS]
         if unknown:
             raise ValueError(
-                f"options.{name}.{key}: unknown policy presets {unknown}; pick from {_POLICY_PRESETS}"
+                f"options.{name}.{key}: unknown policy presets {unknown}; pick from {tuple(PRESETS)}"
             )
 
 
@@ -395,9 +405,12 @@ def _options(cfg: RunConfig, scenario: str) -> dict:
     return {**_OPTION_DEFAULTS[scenario], **cfg.options.get(scenario, {})}
 
 
-def _scene_config(cfg: RunConfig, **defaults) -> SceneConfig:
-    merged = {"seed": cfg.seed, **defaults, **cfg.scene}
-    return SceneConfig(**merged)
+def _scene_config(cfg: RunConfig, shape, **defaults) -> SceneConfig:
+    """A scene of a network input's (channels, height, width) shape; the
+    config's scene section overrides any field."""
+    channels, height, width = shape
+    size = {"channels": channels, "height": height, "width": width}
+    return SceneConfig(**{"seed": cfg.seed, **size, **defaults, **cfg.scene})
 
 
 def _network_params(cfg: RunConfig, scenario: str) -> dict:
@@ -527,9 +540,7 @@ def scenario_policy_sweep(cfg: RunConfig) -> list[Table]:
     frames = cfg.frames or 10
     params = _network_params(cfg, "policy_sweep")
     spec = _apply_cache_label(_build_network(params), params["kind"], cfg.cache)
-    scene = _scene_config(
-        cfg, height=48, width=48, channels=params["input_shape"][0], pan_speed=3.0, base_cell=8
-    )
+    scene = _scene_config(cfg, params["input_shape"], pan_speed=3.0, base_cell=8)
     presets = _options(cfg, "policy_sweep")["presets"]
     sequence = generate(scene, frames)
     memo = full_passes([spec], sequence)
@@ -571,7 +582,7 @@ def scenario_ablation_levels(cfg: RunConfig) -> list[Table]:
     unetpp_depth = opts["unetpp_depth"]
     base = opts["base_channels"]
     hw = opts["input_hw"]
-    scene = _scene_config(cfg, height=hw, width=hw, channels=6, pan_speed=0.75)
+    scene = _scene_config(cfg, (6, hw, hw), pan_speed=0.75)
     sequence = generate(scene, frames)
     policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
 
@@ -629,9 +640,7 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     opts = _options(cfg, "null_hypothesis")
     params = _network_params(cfg, "null_hypothesis")
     spec = _build_network(params)
-    scene = _scene_config(
-        cfg, seed=21, height=64, width=64, channels=params["input_shape"][0], pan_speed=0.4
-    )
+    scene = _scene_config(cfg, params["input_shape"], seed=21, pan_speed=0.4)
     corruption_seed = opts["corruption_seed"]
     noise_scales = opts["noise_scales"]
     policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
@@ -718,9 +727,7 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     if reference_hw % small_scale or reference_hw % large_scale:
         raise ValueError("reference resolution must divide by both scale factors")
 
-    scene = _scene_config(
-        cfg, height=reference_hw, width=reference_hw, channels=6, pan_speed=3.0, base_cell=48
-    )
+    scene = _scene_config(cfg, (6, reference_hw, reference_hw), pan_speed=3.0, base_cell=48)
     sequence = generate(scene, frames)
     reference = [frame.input[:3] for frame in sequence]
 
@@ -826,10 +833,9 @@ def scenario_memory_report(cfg: RunConfig) -> list[Table]:
     entries = _options(cfg, "memory_report")["entries"]
     rows = []
     for label, shapes in entries.items():
-        state = CacheState(
-            entries={f"entry_{i}": np.zeros(tuple(s), dtype=np.float32) for i, s in enumerate(shapes)}
+        total = cache_bytes_report(
+            {f"entry_{i}": np.zeros(tuple(s), dtype=np.float32) for i, s in enumerate(shapes)}
         )
-        total = cache_bytes_report(state)
         values = sum(int(np.prod(s)) for s in shapes)
         _require(total == 4 * values, "cache bytes must equal 4 per stored value")
         expected = _MEMORY_EXPECTED_BYTES.get(label)
@@ -844,9 +850,7 @@ def scenario_feature_profile(cfg: RunConfig) -> list[Table]:
     frames = cfg.frames or 12
     params = _network_params(cfg, "feature_profile")
     spec = _build_network(params)
-    scene = _scene_config(
-        cfg, height=48, width=48, channels=params["input_shape"][0], pan_speed=1.0, base_cell=24
-    )
+    scene = _scene_config(cfg, params["input_shape"], pan_speed=1.0, base_cell=24)
     sequence = generate(scene, frames)
     profile = feature_delta_profile(spec, [frame.input for frame in sequence])
     depths = sorted(profile)
@@ -875,15 +879,14 @@ SCENARIOS = {
 }
 
 
-def run_scenarios(cfg: RunConfig, out_dir=None, only: str | None = None, log=print) -> int:
+def run_scenarios(cfg: RunConfig, out_dir=None, log=print) -> int:
     """Run the configured scenario(s), write tables, return a CI exit code.
 
     A ScenarioError marks the run failed (exit 1) but later scenarios
     still execute so one CI run reports every broken scenario.
     """
     validate_run_config(cfg)
-    target = only or cfg.scenario
-    names = list(SCENARIO_NAMES) if target == "all" else [target]
+    names = list(SCENARIO_NAMES) if cfg.scenario == "all" else [cfg.scenario]
     _check_network(cfg, names)
     destination = Path(out_dir if out_dir is not None else cfg.out_dir)
     status = 0

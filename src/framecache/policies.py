@@ -4,6 +4,8 @@ A policy decides per frame whether to refresh the cache. Frame 0 always
 refreshes because the cache starts empty. Policies are immutable parameter
 records; the mutable bookkeeping (frame index, retained comparison input)
 lives in PolicyState, which the sequence runner advances via record_result.
+policy_metric computes a frame's metric once and should_refresh decides
+from that value.
 """
 
 import math
@@ -18,6 +20,7 @@ __all__ = [
     "EveryN",
     "MotionThreshold",
     "NonLinearSchedule",
+    "PRESETS",
     "PolicyState",
     "initial_state",
     "mean_motion_magnitude",
@@ -129,7 +132,8 @@ def mean_motion_magnitude(motion: np.ndarray) -> float:
 
 
 def policy_metric(policy: RefreshPolicy, state: PolicyState, frame) -> float | None:
-    """The quantity the policy thresholds, for reporting; None for frame 0 deltas."""
+    """The quantity the policy thresholds, for should_refresh and for
+    reporting; None before an input-delta policy retains an input."""
     if isinstance(policy, DeltaSmape):
         if state.stored_input is None:
             return None
@@ -139,10 +143,10 @@ def policy_metric(policy: RefreshPolicy, state: PolicyState, frame) -> float | N
     return float(state.frames_since_refresh)
 
 
-def should_refresh(policy: RefreshPolicy, state: PolicyState, frame) -> bool:
+def should_refresh(policy: RefreshPolicy, state: PolicyState, metric: float | None) -> bool:
     """Decide whether this frame reruns the full network.
 
-    frame provides .input (and .motion for MotionThreshold); state must
+    metric is what policy_metric returned for this frame; state must
     describe the situation just before this frame is processed.
     """
     if state.frame_index == 0:
@@ -153,12 +157,10 @@ def should_refresh(policy: RefreshPolicy, state: PolicyState, frame) -> bool:
         if state.schedule is None:
             raise ValueError("NonLinearSchedule state missing its schedule; use initial_state")
         return state.frame_index in state.schedule
-    if isinstance(policy, DeltaSmape):
-        if state.stored_input is None:
-            raise ValueError("DeltaSmape state has no retained input after frame 0")
-        return smape(frame.input, state.stored_input) > policy.tau
-    if isinstance(policy, MotionThreshold):
-        return mean_motion_magnitude(frame.motion) > policy.tau
+    if isinstance(policy, (DeltaSmape, MotionThreshold)):
+        if metric is None:
+            raise ValueError(f"{type(policy).__name__} state has no retained input after frame 0")
+        return metric > policy.tau
     raise TypeError(f"unknown policy {policy!r}")
 
 
@@ -173,28 +175,24 @@ def record_result(policy: RefreshPolicy, state: PolicyState, frame, refreshed: b
     state.frame_index += 1
 
 
-def preset_policy(name: str, horizon: int) -> RefreshPolicy:
-    """Named policy presets used by the experiment harness.
+# Named policies for a horizon, in the order error messages list them.
+# delta_h / delta_l are the high- and low-refresh input-delta settings,
+# n2 / n5 the periodic refreshers, motion the 1-pixel mean-motion
+# threshold, nonlinear a power-spaced schedule with the same refresh
+# budget as n5, and no_update runs the full network only on frame 0.
+PRESETS = {
+    "delta_l": lambda horizon: DeltaSmape(tau=0.25),
+    "delta_h": lambda horizon: DeltaSmape(tau=0.20),
+    "n5": lambda horizon: EveryN(5),
+    "n2": lambda horizon: EveryN(2),
+    "motion": lambda horizon: MotionThreshold(tau=1.0),
+    "nonlinear": lambda horizon: NonLinearSchedule(refresh_count=max(1, math.ceil(horizon / 5))),
+    "no_update": lambda horizon: EveryN(max(1, horizon)),
+}
 
-    delta_h / delta_l are the high- and low-refresh input-delta settings
-    (tau 0.20 and 0.25), n2 / n5 the periodic refreshers, motion the
-    1-pixel mean-motion threshold, nonlinear a power-spaced schedule
-    with the same refresh budget as n5 on the given horizon, and
-    no_update a period-equal-to-horizon refresher that only ever runs
-    the full network on frame 0.
-    """
-    if name == "delta_h":
-        return DeltaSmape(tau=0.20)
-    if name == "delta_l":
-        return DeltaSmape(tau=0.25)
-    if name == "no_update":
-        return EveryN(max(1, horizon))
-    if name == "n2":
-        return EveryN(2)
-    if name == "n5":
-        return EveryN(5)
-    if name == "motion":
-        return MotionThreshold(tau=1.0)
-    if name == "nonlinear":
-        return NonLinearSchedule(refresh_count=max(1, math.ceil(horizon / 5)))
-    raise ValueError(f"unknown policy preset {name!r}")
+
+def preset_policy(name: str, horizon: int) -> RefreshPolicy:
+    """The policy a PRESETS name stands for on the given horizon."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown policy preset {name!r}")
+    return PRESETS[name](horizon)

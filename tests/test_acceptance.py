@@ -23,7 +23,6 @@ from framecache.builders import (
     unetpp_config_b,
 )
 from framecache.engine import (
-    CacheState,
     cache_bytes_report,
     baseline_outputs,
     run_sequence,
@@ -248,11 +247,9 @@ def test_criterion_07_null_hypothesis():
 
 def test_criterion_08_memory_arithmetic():
     with criterion(8, "memory arithmetic"):
-        color = CacheState(entries={"c": np.zeros((24, 360, 640), dtype=np.float32)})
+        color = {"c": np.zeros((24, 360, 640), dtype=np.float32)}
         assert cache_bytes_report(color) == 22_118_400
-        pyramid = CacheState(
-            entries={f"p{i}": np.zeros((64, 192, 256), dtype=np.float32) for i in range(7)}
-        )
+        pyramid = {f"p{i}": np.zeros((64, 192, 256), dtype=np.float32) for i in range(7)}
         assert cache_bytes_report(pyramid) == 88_080_384
 
 

@@ -126,6 +126,16 @@ class TestRunCommand:
         assert result.returncode == 0, result.stderr
         assert (out_dir / "policy_sweep_summary.csv").exists()
 
+    def test_input_shape_sizes_the_scene(self, tmp_path):
+        # null_hypothesis's scene takes its height and width from the network.
+        config = write_config(tmp_path, frames=4, network={"input_shape": [6, 32, 32]})
+        out_dir = tmp_path / "out"
+        result = run_cli(
+            "run", "--config", str(config), "--out", str(out_dir), "--scenario", "null_hypothesis"
+        )
+        assert result.returncode == 0, result.stderr
+        assert (out_dir / "null_hypothesis_summary.csv").exists()
+
     def test_same_seed_reproduces_bytes(self, tmp_path):
         config = write_config(tmp_path, scenario="policy_sweep", frames=4, seed=3)
         out_a = tmp_path / "a"
@@ -200,6 +210,8 @@ class TestErrorHandling:
             ({"options": {"superres_tradeoff": {"policies": ["fast"]}}}, "['fast']"),
             ({"options": {"null_hypothesis": {"noise_scales": [0.5, "2"]}}}, "noise_scales"),
             ({"options": {"ablation_levels": {"unet_dpth": 3}}}, "'unet_dpth'"),
+            ({"options": {"memory_report": {"entries": {"a": 5}}}}, "options.memory_report.entries"),
+            ({"options": {"memory_report": {"entries": {"a": [[2, -3]]}}}}, "options.memory_report.entries"),
         ],
     )
     def test_bad_field_rejected_before_any_scenario(self, tmp_path, fields, named):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framecache import engine
+from framecache import engine, policies
 from framecache.builders import (
     build_superres,
     build_unet,
@@ -25,7 +25,6 @@ from framecache.builders import (
 )
 from framecache.engine import (
     BYTES_PER_VALUE,
-    CacheState,
     Corruption,
     baseline_outputs,
     cache_bytes_report,
@@ -36,6 +35,7 @@ from framecache.engine import (
 from framecache.metrics import aggregate
 from framecache.netgraph import forward_cached, forward_full, replace_cache_config
 from framecache.policies import (
+    PRESETS,
     DeltaSmape,
     EveryN,
     MotionThreshold,
@@ -61,23 +61,20 @@ class TestCacheBytes:
     """Resident cache size accounting."""
 
     def test_frozen_reference_shapes(self):
-        color = CacheState(entries={"color": np.zeros((24, 360, 640), dtype=np.float32)})
+        color = {"color": np.zeros((24, 360, 640), dtype=np.float32)}
         assert cache_bytes_report(color) == 22118400
-        pyramid = CacheState(
-            entries={f"p{i}": np.zeros((64, 192, 256), dtype=np.float32) for i in range(7)}
-        )
+        pyramid = {f"p{i}": np.zeros((64, 192, 256), dtype=np.float32) for i in range(7)}
         assert cache_bytes_report(pyramid) == 88080384
-        assert cache_bytes_report(CacheState(entries={})) == 0
+        assert cache_bytes_report({}) == 0
 
     def test_four_bytes_per_value(self):
-        state = CacheState(entries={"a": np.zeros((3, 5, 7), dtype=np.float32)})
-        assert cache_bytes_report(state) == 3 * 5 * 7 * BYTES_PER_VALUE
+        entries = {"a": np.zeros((3, 5, 7), dtype=np.float32)}
+        assert cache_bytes_report(entries) == 3 * 5 * 7 * BYTES_PER_VALUE
 
     def test_reference_input_included(self):
-        entry = np.zeros((2, 4, 4), dtype=np.float32)
-        bare = CacheState(entries={"a": entry})
-        with_ref = CacheState(entries={"a": entry}, reference_input=np.zeros((6, 8, 8), dtype=np.float32))
-        assert cache_bytes_report(with_ref) - cache_bytes_report(bare) == 6 * 8 * 8 * 4
+        entries = {"a": np.zeros((2, 4, 4), dtype=np.float32)}
+        reference = np.zeros((6, 8, 8), dtype=np.float32)
+        assert cache_bytes_report(entries, reference) - cache_bytes_report(entries) == 6 * 8 * 8 * 4
 
     def test_run_reports_policy_dependent_bytes(self):
         # Input-delta policies retain the refresh frame input; periodic
@@ -95,68 +92,65 @@ class TestCacheBytes:
 class TestCorruption:
     """Cache rewrite modes used by the sanity study."""
 
-    def make_state(self, seed=0, shape=(8, 12, 12)):
+    def make_entries(self, seed=0, shape=(8, 12, 12)):
         rng = np.random.default_rng(seed)
-        entries = {
+        return {
             "a->b:0": rng.normal(0.3, 1.1, size=shape).astype(np.float32),
             "c->b:1": rng.uniform(-2.0, 5.0, size=shape).astype(np.float32),
         }
-        return CacheState(entries=entries, reference_input=np.ones((3, 4, 4), dtype=np.float32))
 
     def test_zero_blanks_entries(self):
-        state = self.make_state()
-        out = corrupt_cache(state, Corruption("zero"))
-        for name, entry in out.entries.items():
-            assert entry.shape == state.entries[name].shape
+        entries = self.make_entries()
+        out = corrupt_cache(entries, Corruption("zero"))
+        for name, entry in out.items():
+            assert entry.shape == entries[name].shape
             assert not entry.any()
-        assert np.array_equal(out.reference_input, state.reference_input)
 
     def test_uniform_respects_entry_range(self):
-        state = self.make_state(seed=1)
-        out = corrupt_cache(state, Corruption("uniform_random", seed=4))
-        for name, entry in out.entries.items():
-            lo, hi = float(state.entries[name].min()), float(state.entries[name].max())
+        entries = self.make_entries(seed=1)
+        out = corrupt_cache(entries, Corruption("uniform_random", seed=4))
+        for name, entry in out.items():
+            lo, hi = float(entries[name].min()), float(entries[name].max())
             assert float(entry.min()) >= lo
             assert float(entry.max()) <= hi
-            assert not np.array_equal(entry, state.entries[name])
+            assert not np.array_equal(entry, entries[name])
 
     def test_normal_moment_matches_uniform(self):
         # Same mean and std as a uniform draw over the entry's range.
         rng = np.random.default_rng(9)
-        big = CacheState(entries={"e": rng.uniform(1.0, 3.0, size=(40, 50, 50)).astype(np.float32)})
+        big = {"e": rng.uniform(1.0, 3.0, size=(40, 50, 50)).astype(np.float32)}
         out = corrupt_cache(big, Corruption("normal_random", seed=11))
-        lo, hi = float(big.entries["e"].min()), float(big.entries["e"].max())
-        values = out.entries["e"].astype(np.float64)
+        lo, hi = float(big["e"].min()), float(big["e"].max())
+        values = out["e"].astype(np.float64)
         assert float(values.mean()) == pytest.approx(0.5 * (lo + hi), abs=0.01)
         assert float(values.std()) == pytest.approx((hi - lo) / math.sqrt(12.0), rel=0.02)
 
     def test_noise_scale_tracks_sigma(self):
         rng = np.random.default_rng(10)
         entry = rng.normal(0.0, 2.0, size=(40, 50, 50)).astype(np.float32)
-        state = CacheState(entries={"e": entry})
         for sigma in (0.5, 1.0, 2.0):
-            out = corrupt_cache(state, Corruption("noise", sigma_scale=sigma, seed=6))
-            added = out.entries["e"].astype(np.float64) - entry.astype(np.float64)
+            out = corrupt_cache({"e": entry}, Corruption("noise", sigma_scale=sigma, seed=6))
+            added = out["e"].astype(np.float64) - entry.astype(np.float64)
             assert float(added.std()) == pytest.approx(sigma * float(entry.std()), rel=0.03)
             assert float(added.mean()) == pytest.approx(0.0, abs=0.05 * sigma)
 
     def test_noise_sigma_zero_is_identity(self):
-        state = self.make_state(seed=2)
-        out = corrupt_cache(state, Corruption("noise", sigma_scale=0.0))
-        for name, entry in out.entries.items():
-            assert np.array_equal(entry, state.entries[name])
+        entries = self.make_entries(seed=2)
+        out = corrupt_cache(entries, Corruption("noise", sigma_scale=0.0))
+        for name, entry in out.items():
+            assert np.array_equal(entry, entries[name])
 
     def test_same_seed_reproduces(self):
-        state = self.make_state(seed=3)
+        entries = self.make_entries(seed=3)
         mode = Corruption("uniform_random", seed=21)
-        first = corrupt_cache(state, mode)
-        second = corrupt_cache(state, mode)
-        for name in state.entries:
-            assert np.array_equal(first.entries[name], second.entries[name])
+        first = corrupt_cache(entries, mode)
+        second = corrupt_cache(entries, mode)
+        for name in entries:
+            assert np.array_equal(first[name], second[name])
 
     def test_empty_cache_rejected(self):
         with pytest.raises(ValueError, match="empty cache"):
-            corrupt_cache(CacheState(entries={}), Corruption("zero"))
+            corrupt_cache({}, Corruption("zero"))
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="unknown corruption kind"):
@@ -238,6 +232,25 @@ class TestRunSequence:
             assert record.policy_metric is not None
             assert record.policy_metric >= 0.0
 
+    @pytest.mark.parametrize(
+        ("policy", "counted", "calls"),
+        # Over 6 frames: a delta for every frame after the first, a
+        # magnitude for every frame.
+        [(DeltaSmape(tau=0.2), "smape", 5), (MotionThreshold(tau=1.0), "mean_motion_magnitude", 6)],
+    )
+    def test_policy_metric_computed_once_per_frame(self, monkeypatch, policy, counted, calls):
+        # should_refresh decides from the value policy_metric returned.
+        seen = []
+        original = getattr(policies, counted)
+
+        def counting(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(policies, counted, counting)
+        run_sequence(small_net(), generate(DRIFT_SCENE, 6).frames, policy)
+        assert len(seen) == calls
+
     def test_empty_frames_rejected(self):
         with pytest.raises(ValueError, match="at least one frame"):
             run_sequence(small_net(), [], EveryN(1))
@@ -301,7 +314,6 @@ class TestRunWithCorruption:
 
 
 MEMO_FRAMES = 8
-PRESETS = ("delta_l", "delta_h", "n5", "n2", "motion", "nonlinear", "no_update")
 CORRUPTION_KINDS = ("zero", "uniform_random", "normal_random", "noise")
 
 
@@ -342,7 +354,7 @@ class TestFullPassMemo:
     @given(
         case=st.sampled_from([("unet", 0), ("unet", 1), ("unetpp", 0), ("unetpp", 1), ("superres", 0)]),
         policy=st.one_of(
-            st.sampled_from(PRESETS).map(lambda name: preset_policy(name, MEMO_FRAMES)),
+            st.sampled_from(tuple(PRESETS)).map(lambda name: preset_policy(name, MEMO_FRAMES)),
             st.integers(1, MEMO_FRAMES + 1).map(EveryN),
         ),
         corruption=st.one_of(
@@ -449,7 +461,7 @@ class TestRunMatchesFreshPasses:
     @given(
         case=st.sampled_from(RUN_CASES),
         policy=st.one_of(
-            st.sampled_from(PRESETS).map(lambda name: preset_policy(name, MEMO_FRAMES)),
+            st.sampled_from(tuple(PRESETS)).map(lambda name: preset_policy(name, MEMO_FRAMES)),
             st.integers(1, 4).map(EveryN),
         ),
         corruption=st.one_of(
@@ -474,7 +486,7 @@ class TestRunMatchesFreshPasses:
                 entries = full.edge_tensors
                 if corruption is not None:
                     rng = np.random.default_rng([corruption.seed, rec.index])
-                    entries = corrupt_cache(CacheState(entries=entries), corruption, rng).entries
+                    entries = corrupt_cache(entries, corruption, rng)
             else:
                 expected = forward_cached(spec, frame.input, dict(entries)).output
             assert rec.output.dtype == expected.dtype

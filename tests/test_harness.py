@@ -317,8 +317,8 @@ class TestRunScenarios:
 
         monkeypatch.setitem(harness.SCENARIOS, "policy_sweep", boom)
         logs = []
-        cfg = minimal_config(frames=6)
-        status = run_scenarios(cfg, out_dir=tmp_path, only="policy_sweep", log=logs.append)
+        cfg = minimal_config(frames=6, scenario="policy_sweep")
+        status = run_scenarios(cfg, out_dir=tmp_path, log=logs.append)
         assert status == 1
         # A clean scenario still passes within the same process.
         status2 = run_scenarios(

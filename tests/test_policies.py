@@ -35,7 +35,7 @@ def simulate(policy, frames, horizon=None):
     state = initial_state(policy, horizon if horizon is not None else len(frames))
     flags = []
     for frame in frames:
-        refresh = should_refresh(policy, state, frame)
+        refresh = should_refresh(policy, state, policy_metric(policy, state, frame))
         record_result(policy, state, frame, refresh)
         flags.append(refresh)
     return flags
@@ -78,7 +78,7 @@ class TestEveryN:
         metrics = []
         for frame in frames:
             metrics.append(policy_metric(policy, state, frame))
-            record_result(policy, state, frame, should_refresh(policy, state, frame))
+            record_result(policy, state, frame, should_refresh(policy, state, metrics[-1]))
         assert metrics == [0.0, 0.0, 1.0, 2.0, 0.0]
 
 
@@ -135,7 +135,7 @@ class TestNonLinearSchedule:
         policy = NonLinearSchedule(refresh_count=3)
         state = PolicyState(frame_index=1)
         with pytest.raises(ValueError, match="missing its schedule"):
-            should_refresh(policy, state, constant_frame(0.5))
+            should_refresh(policy, state, policy_metric(policy, state, constant_frame(0.5)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -183,7 +183,7 @@ class TestDeltaSmape:
         policy = DeltaSmape(tau=0.25)
         state = PolicyState(frame_index=2)
         with pytest.raises(ValueError, match="no retained input"):
-            should_refresh(policy, state, constant_frame(0.5))
+            should_refresh(policy, state, policy_metric(policy, state, constant_frame(0.5)))
 
     def test_tau_range_validation(self):
         for tau in (0.0, 1.0, -0.2, 1.5):

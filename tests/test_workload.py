@@ -21,6 +21,7 @@ from framecache.policies import (
     DeltaSmape,
     initial_state,
     mean_motion_magnitude,
+    policy_metric,
     record_result,
     should_refresh,
 )
@@ -152,7 +153,7 @@ def refresh_indices(policy, frames):
     state = initial_state(policy, len(frames))
     indices = []
     for frame in frames:
-        if should_refresh(policy, state, frame):
+        if should_refresh(policy, state, policy_metric(policy, state, frame)):
             indices.append(frame.index)
             record_result(policy, state, frame, True)
         else:
