@@ -47,7 +47,7 @@ from .metrics import aggregate, mse
 from .netgraph import feature_delta_profile, replace_cache_config
 from .ops import block_mean, repeat_nearest
 from .policies import PRESETS, EveryN, power_schedule, preset_policy
-from .workload import FrameInput, SceneConfig, generate
+from .workload import FrameInput, SceneConfig, generate, iter_frames
 
 __all__ = [
     "CONFIG_VERSION",
@@ -88,8 +88,12 @@ class ScenarioError(RuntimeError):
     """A scenario-internal consistency assertion failed."""
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, **observed) -> None:
+    """Raise ScenarioError(message) unless condition holds; the message
+    then ends with the observed values, as name=value pairs."""
     if not condition:
+        if observed:
+            message += " (" + ", ".join(f"{name}={value}" for name, value in observed.items()) + ")"
         raise ScenarioError(message)
 
 
@@ -232,6 +236,20 @@ _OPTION_DEFAULTS = {
 }
 # The options that list policy presets.
 _PRESET_OPTIONS = {("policy_sweep", "presets"), ("superres_tradeoff", "policies")}
+# The least value of each numeric option, or of each item of a list one.
+_OPTION_MINIMUMS = {
+    ("ablation_levels", "unet_depth"): 2,
+    ("ablation_levels", "unetpp_depth"): 1,
+    ("ablation_levels", "base_channels"): 1,
+    ("ablation_levels", "input_hw"): 1,
+    ("null_hypothesis", "corruption_seed"): 0,
+    ("null_hypothesis", "noise_scales"): 0,
+    ("superres_tradeoff", "reference_hw"): 1,
+    ("superres_tradeoff", "small_input_scale"): 1,
+    ("superres_tradeoff", "large_input_scale"): 1,
+    ("superres_tradeoff", "base_channels"): 1,
+    ("superres_tradeoff", "lr_pool"): 0,
+}
 
 
 def _is_int(value) -> bool:
@@ -337,12 +355,14 @@ def validate_run_config(cfg: RunConfig) -> None:
         if not isinstance(value, dict):
             raise ValueError(f"options.{name} must be a JSON object, got {value!r}")
         _check_options(name, value)
+    _check_option_sizes(cfg)
 
 
 def _check_options(name: str, options: dict) -> None:
     """Each key must be an option of the scenario and have its default's
-    JSON type; a list of policy presets must name known presets, and a
-    memory_report shape non-negative dimensions."""
+    JSON type and at least its _OPTION_MINIMUMS value; a list of policy
+    presets must name known presets, and a memory_report shape
+    non-negative dimensions."""
     defaults = _OPTION_DEFAULTS[name]
     for key, value in options.items():
         if key not in defaults:
@@ -350,6 +370,11 @@ def _check_options(name: str, options: dict) -> None:
         if not _like(value, defaults[key]):
             expected = _json_type(defaults[key])
             raise ValueError(f"options.{name}.{key} must be a JSON {expected}, got {value!r}")
+        least = _OPTION_MINIMUMS.get((name, key))
+        if least is not None:
+            items = value if isinstance(value, list) else [value]
+            if not all(math.isfinite(item) and item >= least for item in items):
+                raise ValueError(f"options.{name}.{key} must be >= {least}, got {value!r}")
         if (name, key) == ("memory_report", "entries"):
             for label, shapes in value.items():
                 if any(dim < 0 for shape in shapes for dim in shape):
@@ -360,6 +385,33 @@ def _check_options(name: str, options: dict) -> None:
         if unknown:
             raise ValueError(
                 f"options.{name}.{key}: unknown policy presets {unknown}; pick from {tuple(PRESETS)}"
+            )
+
+
+def _halvings(size: int) -> int:
+    """How many times a positive size halves evenly."""
+    return (size & -size).bit_length() - 1
+
+
+def _check_option_sizes(cfg: RunConfig) -> None:
+    """The input sizes of ablation_levels and superres_tradeoff must halve
+    evenly as often as their networks pool, after superres_tradeoff's
+    downscale by each scale factor."""
+    opts = _options(cfg, "ablation_levels")
+    steps = max(opts["unet_depth"] - 1, opts["unetpp_depth"])
+    if steps > _halvings(opts["input_hw"]):
+        raise ValueError(
+            f"options.ablation_levels.input_hw must halve evenly {steps} times for "
+            f"unet_depth {opts['unet_depth']} and unetpp_depth {opts['unetpp_depth']}, "
+            f"got {opts['input_hw']}"
+        )
+    opts = _options(cfg, "superres_tradeoff")
+    hw, lr_pool = opts["reference_hw"], opts["lr_pool"]
+    for key in ("small_input_scale", "large_input_scale"):
+        if hw % opts[key] or lr_pool > _halvings(hw // opts[key]):
+            raise ValueError(
+                f"options.superres_tradeoff.reference_hw must divide by {key} {opts[key]} "
+                f"into a size that halves evenly lr_pool {lr_pool} times, got {hw}"
             )
 
 
@@ -692,25 +744,39 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     ]
 
 
-def _downscale_frames(sequence, factor: int) -> list[FrameInput]:
-    """Area-average a reference sequence to a smaller network input.
+def _downscale_frame(frame: FrameInput, factor: int) -> FrameInput:
+    """Area-average a reference frame to a smaller network input.
 
     Motion vectors are averaged and rescaled into the coarse pixel grid.
     """
-    scaled = []
-    for frame in sequence:
-        motion = (block_mean(frame.motion, factor) / factor).astype(np.float32)
-        scaled.append(FrameInput(frame.index, block_mean(frame.input, factor), motion))
-    return scaled
+    motion = (block_mean(frame.motion, factor) / factor).astype(np.float32)
+    return FrameInput(frame.index, block_mean(frame.input, factor), motion)
+
+
+def _stream_reference(scene: SceneConfig, frame_count: int, factors):
+    """Walk a scene one frame at a time, keeping a copy of each frame's
+    colour channels and its _downscale_frame at each factor; no
+    full-resolution frame is alive once this returns. Returns the colour
+    list and one frame list per factor.
+    """
+    colours, scaled = [], [[] for _ in factors]
+    for frame in iter_frames(scene, frame_count):
+        colours.append(frame.input[:3].copy())
+        for frames, factor in zip(scaled, factors):
+            frames.append(_downscale_frame(frame, factor))
+    return colours, scaled
 
 
 def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     """Spend saved FLOPs on a bigger input: cache vs render scale.
 
-    One reference scene is rendered once at high resolution; each row runs
-    the same super-resolution network on an area-downscaled copy. A larger
-    input (smaller scale factor) costs more per frame, so the question is
-    whether caching at the larger input undercuts the total FLOPs of the
+    One reference scene is streamed at high resolution, one frame at a
+    time: each frame is area-downscaled to both network inputs and only
+    its colour channels are kept as the reference, so no full-resolution
+    frame outlives its turn. Each row runs the same super-resolution
+    network on one of the downscaled sequences. A larger input (smaller
+    scale factor) costs more per frame, so the question is whether
+    caching at the larger input undercuts the total FLOPs of the
     small-input no-cache baseline. The break-even skipped fraction is
     computed from per-frame FLOPs and asserted against measured totals.
     Output quality is measured against the reference color channels after
@@ -724,23 +790,22 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     base = opts["base_channels"]
     lr_pool = opts["lr_pool"]
     cached_policies = opts["policies"]
-    if reference_hw % small_scale or reference_hw % large_scale:
-        raise ValueError("reference resolution must divide by both scale factors")
 
     scene = _scene_config(cfg, (6, reference_hw, reference_hw), pan_speed=3.0, base_cell=48)
-    sequence = generate(scene, frames)
-    reference = [frame.input[:3] for frame in sequence]
+    reference, (small_frames, large_frames) = _stream_reference(
+        scene, frames, (small_scale, large_scale)
+    )
 
     def spec_for(scale: int):
         hw = reference_hw // scale
         return build_superres((6, hw, hw), base_channels=base, lr_pool=lr_pool, seed=cfg.seed)
 
     small_spec, large_spec = spec_for(small_scale), spec_for(large_scale)
-    small_frames = _downscale_frames(sequence, small_scale)
-    large_frames = _downscale_frames(sequence, large_scale)
     _require(
         large_spec.full_flops > small_spec.full_flops,
         "the larger input must cost more FLOPs per full frame",
+        large_flops=large_spec.full_flops,
+        small_flops=small_spec.full_flops,
     )
     live_fraction = large_spec.cached_flops() / large_spec.full_flops
     flops_ratio = small_spec.full_flops / large_spec.full_flops
@@ -762,6 +827,10 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
             _require(
                 rmse_ref <= rmse_full_ref + rmse_cache + 1e-9,
                 "per-frame quality must stay within the uncached quality plus the cache error",
+                row=label,
+                frame=rec.index,
+                rmse_ref=rmse_ref,
+                rmse_full_ref_plus_cache=rmse_full_ref + rmse_cache,
             )
             vs_ref.append(rmse_ref)
             vs_full.append(rmse_cache)
@@ -801,6 +870,10 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
             _require(
                 summary[4] < baseline_total,
                 f"{preset}: cached large-input total FLOPs must undercut the small-input baseline",
+                cached_total=summary[4],
+                baseline_total=baseline_total,
+                skipped=skipped,
+                break_even=break_even,
             )
 
     header = (
@@ -888,6 +961,8 @@ def run_scenarios(cfg: RunConfig, out_dir=None, log=print) -> int:
     validate_run_config(cfg)
     names = list(SCENARIO_NAMES) if cfg.scenario == "all" else [cfg.scenario]
     _check_network(cfg, names)
+    if "feature_profile" in names and cfg.frames is not None and cfg.frames < 2:
+        raise ValueError(f"frames must be >= 2 for scenario feature_profile, got {cfg.frames}")
     destination = Path(out_dir if out_dir is not None else cfg.out_dir)
     status = 0
     for name in names:

@@ -18,15 +18,19 @@ conv2d builds the im2col matrix one band of output rows at a time, sized
 by _BAND_BYTES to stay in a core's L2 cache between the copy that fills
 it and the product that reads it, and multiplies each band into its
 columns of the result. Every output is still the same K-long dot product
-of the same float64 operands. On the OpenBLAS kernels tested (SkylakeX,
-Haswell, Sandybridge, Nehalem, Katmai), a band's product matched those
-columns of the whole product bit for bit whenever both column counts were
-multiples of 8, which holds for every banded convolution of the default
-networks. Other widths can move a float64 sum by an ulp; the float32
-rounding absorbed every such move the tests met, but for those widths
-that is measured, not guaranteed.
+of the same float64 operands. When a map needs more than one band, the
+band height is rounded down to a row count whose columns are a multiple
+of 8, but not below the least such count, so every band starts at a
+multiple of 8 columns; a map that fits in one band stays one whole
+product. On the SkylakeX, Haswell, Sandybridge, Prescott and Katmai
+OpenBLAS kernels, such bands matched the whole product's float64 columns
+bit for bit at every map width tried, 5 to 48; unaligned bands did not.
+The Nehalem kernel still moved some 24- and 48-wide bands by an ulp.
+The float32 rounding absorbed every such move the tests met, but that is
+measured, not guaranteed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +167,10 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     )
     k = c * params.kernel_h * params.kernel_w
     rows = min(out_h, max(1, _BAND_BYTES // (k * out_w * 8)))
+    if rows < out_h:
+        # Several bands: each but the last holds a multiple of 8 columns.
+        aligned = 8 // math.gcd(out_w, 8)
+        rows = min(out_h, max(aligned, rows - rows % aligned))
     buffer = np.empty(k * rows * out_w, dtype=np.float64)
     acc = np.empty((params.out_channels, out_h * out_w), dtype=np.float64)
     for r0 in range(0, out_h, rows):

@@ -17,6 +17,7 @@ the frames are the same bit for bit.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "FrameSequence",
     "SceneConfig",
     "generate",
+    "iter_frames",
 ]
 
 _GRAD_SCALE = 8.0
@@ -277,21 +279,26 @@ def _per_frame_speeds(config: SceneConfig, frame_count: int) -> np.ndarray:
     return np.asarray(speeds[:frame_count], dtype=np.float64)
 
 
-def generate(config: SceneConfig, frame_count: int) -> FrameSequence:
-    """Produce frame_count coherent frames for the given scene.
+def iter_frames(config: SceneConfig, frame_count: int) -> Iterator[FrameInput]:
+    """Yield the frame_count coherent frames of the given scene in order.
 
     The camera advances by the frame's scheduled speed along pan_direction
     each frame; the stored motion field is that exact displacement (sprite
-    pixels report the sprite's velocity instead).
+    pixels report the sprite's velocity instead). Frames are made one at a
+    time, so a caller that keeps only part of each frame holds only that.
+    frame_count is checked when this is called, not on the first frame.
     """
     if frame_count < 1:
         raise ValueError("frame_count must be >= 1")
+    return _frames(config, frame_count)
+
+
+def _frames(config: SceneConfig, frame_count: int) -> Iterator[FrameInput]:
     norm = float(np.hypot(*config.pan_direction))
     dir_x = config.pan_direction[0] / norm
     dir_y = config.pan_direction[1] / norm
     speeds = _per_frame_speeds(config, frame_count)
     sprites = _make_sprites(config)
-    sequence = FrameSequence()
     offset_x = 0.0
     offset_y = 0.0
     for index in range(frame_count):
@@ -303,6 +310,9 @@ def generate(config: SceneConfig, frame_count: int) -> FrameSequence:
         motion[0] = speeds[index] * dir_x
         motion[1] = speeds[index] * dir_y
         _apply_sprites(config, sprites, index, channels, motion)
-        sequence.frames.append(FrameInput(index=index, input=tensor(channels), motion=motion))
-    return sequence
+        yield FrameInput(index=index, input=tensor(channels), motion=motion)
 
+
+def generate(config: SceneConfig, frame_count: int) -> FrameSequence:
+    """All frames of iter_frames(config, frame_count), held in memory."""
+    return FrameSequence(list(iter_frames(config, frame_count)))

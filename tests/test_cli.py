@@ -212,6 +212,31 @@ class TestErrorHandling:
             ({"options": {"ablation_levels": {"unet_dpth": 3}}}, "'unet_dpth'"),
             ({"options": {"memory_report": {"entries": {"a": 5}}}}, "options.memory_report.entries"),
             ({"options": {"memory_report": {"entries": {"a": [[2, -3]]}}}}, "options.memory_report.entries"),
+            (
+                {"frames": 4, "options": {"null_hypothesis": {"corruption_seed": -1}}},
+                "options.null_hypothesis.corruption_seed",
+            ),
+            (
+                {"frames": 4, "options": {"null_hypothesis": {"noise_scales": [-1.0]}}},
+                "options.null_hypothesis.noise_scales",
+            ),
+            (
+                {"frames": 4, "options": {"ablation_levels": {"input_hw": 0}}},
+                "options.ablation_levels.input_hw",
+            ),
+            (
+                {"frames": 4, "options": {"ablation_levels": {"input_hw": 36}}},
+                "options.ablation_levels.input_hw",
+            ),
+            (
+                {"frames": 4, "options": {"superres_tradeoff": {"small_input_scale": 0}}},
+                "options.superres_tradeoff.small_input_scale",
+            ),
+            (
+                {"frames": 4, "options": {"superres_tradeoff": {"reference_hw": 100}}},
+                "options.superres_tradeoff.reference_hw",
+            ),
+            ({"frames": 1}, "frames must be >= 2 for scenario feature_profile"),
         ],
     )
     def test_bad_field_rejected_before_any_scenario(self, tmp_path, fields, named):

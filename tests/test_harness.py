@@ -6,13 +6,16 @@ repr round-tripping, the recomputed means must match bit for bit.
 """
 
 import csv
+import gc
+import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import framecache.harness as harness
-from framecache.builders import build_unet
+from framecache.builders import build_superres, build_unet
 from framecache.engine import full_passes
 from framecache.harness import (
     RunConfig,
@@ -26,6 +29,7 @@ from framecache.harness import (
     scenario_feature_profile,
     scenario_memory_report,
     scenario_policy_sweep,
+    scenario_superres_tradeoff,
     write_tables,
 )
 from framecache.metrics import mse
@@ -241,6 +245,68 @@ class TestFeatureProfileScenario:
             assert curve[0] == 0.0
             assert all(b >= a - 1e-9 for a, b in zip(curve, curve[1:]))
         assert len(depth_columns) == 4
+
+
+def small_superres_config(**options):
+    """superres_tradeoff over 4 frames of a 24x24 reference scene."""
+    opts = {"reference_hw": 24, "small_input_scale": 4, "large_input_scale": 3, "lr_pool": 1}
+    opts.update(options)
+    return minimal_config(
+        scenario="superres_tradeoff", frames=4, options={"superres_tradeoff": opts}
+    )
+
+
+class TestSuperresTradeoffScenario:
+    def test_no_full_frame_alive_once_the_scene_is_walked(self, monkeypatch):
+        # Weak references to every array of each full-resolution frame the
+        # scene yields; the first run_sequence call (the small baseline)
+        # comes after the walk, and by then each must be gone.
+        refs, alive_at_first_run = [], []
+        iter_frames, run_sequence = harness.iter_frames, harness.run_sequence
+
+        def recording_frames(scene, count):
+            for frame in iter_frames(scene, count):
+                refs.extend([weakref.ref(frame.input), weakref.ref(frame.motion)])
+                yield frame
+
+        def checking_run(*args, **kwargs):
+            if not alive_at_first_run:
+                gc.collect()
+                alive_at_first_run.append(sum(ref() is not None for ref in refs))
+            return run_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "iter_frames", recording_frames)
+        monkeypatch.setattr(harness, "run_sequence", checking_run)
+        tables = scenario_superres_tradeoff(small_superres_config())
+        assert len(refs) == 8
+        assert alive_at_first_run == [0]
+        assert len(tables[1].rows) == 5 * 4
+
+    def test_failed_quality_check_reports_its_numbers(self, tmp_path, monkeypatch):
+        # Per frame the scenario takes mse(up, reference), then
+        # mse(up_full, reference), then mse(up, up_full): 3 > 1 + 1.
+        values = itertools.cycle([9.0, 1.0, 1.0])
+        monkeypatch.setattr(harness, "mse", lambda a, b: next(values))
+        logs = []
+        status = run_scenarios(small_superres_config(), out_dir=tmp_path, log=logs.append)
+        assert status == 1
+        assert logs == [
+            "[FAIL] superres_tradeoff: per-frame quality must stay within the uncached "
+            "quality plus the cache error (row=scale4_baseline, frame=0, rmse_ref=3.0, "
+            "rmse_full_ref_plus_cache=2.0)"
+        ]
+
+    def test_failed_flops_check_reports_both_counts(self, tmp_path):
+        # Swapped scales: the "larger" input is the smaller one.
+        cfg = small_superres_config(small_input_scale=3, large_input_scale=4)
+        small = build_superres((6, 8, 8), base_channels=8, lr_pool=1).full_flops
+        large = build_superres((6, 6, 6), base_channels=8, lr_pool=1).full_flops
+        logs = []
+        assert run_scenarios(cfg, out_dir=tmp_path, log=logs.append) == 1
+        assert logs == [
+            "[FAIL] superres_tradeoff: the larger input must cost more FLOPs per full frame "
+            f"(large_flops={large}, small_flops={small})"
+        ]
 
 
 class TestPolicySweepScenario:

@@ -246,8 +246,9 @@ class TestConv2dMatchesSeedKernel:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(conv_cases(), st.data())
     def test_banded_geometries(self, case, data):
-        # A budget of a few output rows, so every case runs in two or more
-        # bands, the last one often shorter.
+        # A budget of a few output rows, so most cases run in two or more
+        # bands, the last one often shorter (one band where aligning bands
+        # to 8 columns needs as many rows as the map has).
         x, params = case
         out_h, out_w = conv_output_hw(params, x.shape[1], x.shape[2])
         assume(out_h > 1)
@@ -280,6 +281,51 @@ class TestConv2dMatchesSeedKernel:
         rng = np.random.default_rng(in_c * 100 + out_c)
         params = random_params(rng, in_c, out_c, kernel, padding=padding)
         assert_bitwise_seed_match(_input_of_kind(rng, kind, (in_c, size, size)), params)
+
+
+def band_columns(monkeypatch, x, params, budget_rows):
+    """conv2d's output under a budget of budget_rows output rows, and the
+    column count of each band product it made."""
+    out_w = conv_output_hw(params, x.shape[1], x.shape[2])[1]
+    row_bytes = params.in_channels * params.kernel_h * params.kernel_w * out_w * 8
+    columns = []
+    matmul = np.matmul
+
+    def recording(a, b, out=None):
+        columns.append(b.shape[1])
+        return matmul(a, b, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ops, "_BAND_BYTES", budget_rows * row_bytes)
+        patch.setattr(np, "matmul", recording)
+        return conv2d(x, params), columns
+
+
+class TestConv2dBandAlignment:
+    """Every band of a banded map but the last holds a multiple of 8 columns."""
+
+    @pytest.mark.parametrize("width", [5, 6, 7, 9, 13])
+    @pytest.mark.parametrize("budget_rows", [1, 3])
+    def test_band_columns_multiple_of_8(self, monkeypatch, width, budget_rows):
+        rng = np.random.default_rng(width)
+        params = random_params(rng, 3, 4, 3, padding=1)
+        x = rng.standard_normal((3, 20, width)).astype(np.float32)
+        whole, whole_columns = band_columns(monkeypatch, x, params, 20)
+        banded, columns = band_columns(monkeypatch, x, params, budget_rows)
+        assert whole_columns == [20 * width]
+        assert len(columns) > 1 and sum(columns) == 20 * width
+        assert all(count % 8 == 0 for count in columns[:-1])
+        assert np.array_equal(banded.view(np.uint32), whole.view(np.uint32))
+
+    def test_map_that_fits_stays_one_product(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        params = random_params(rng, 3, 4, 3, padding=1)
+        x = rng.standard_normal((3, 6, 6)).astype(np.float32)
+        _, columns = band_columns(monkeypatch, x, params, 6)
+        assert columns == [36]
+        # Five rows of budget: bands of 4 rows (24 columns) and the rest.
+        _, columns = band_columns(monkeypatch, x, params, 5)
+        assert columns == [24, 12]
 
 
 class TestConvParamsCopies:

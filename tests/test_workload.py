@@ -26,7 +26,7 @@ from framecache.policies import (
     should_refresh,
 )
 from framecache.ops import smape
-from framecache.workload import SceneConfig, generate
+from framecache.workload import SceneConfig, generate, iter_frames
 from framecache.workload import _GRAD_SCALE
 
 
@@ -164,6 +164,24 @@ def refresh_indices(policy, frames):
 def consecutive_smape(frames):
     """SMAPE between each consecutive pair of frame inputs."""
     return [smape(frames[t].input, frames[t - 1].input) for t in range(1, len(frames))]
+
+
+class TestIterFrames:
+    """iter_frames yields generate's frames, one at a time."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(scene_configs(), st.integers(1, 4))
+    def test_matches_generate(self, config, frame_count):
+        streamed = list(iter_frames(config, frame_count))
+        expected = generate(config, frame_count).frames
+        for frame, reference in zip(streamed, expected, strict=True):
+            assert frame.index == reference.index
+            assert frame.input.tobytes() == reference.input.tobytes()
+            assert frame.motion.tobytes() == reference.motion.tobytes()
+
+    def test_frame_count_checked_on_call(self):
+        with pytest.raises(ValueError, match="frame_count"):
+            iter_frames(SceneConfig(seed=0), 0)
 
 
 class TestFrameLayout:
