@@ -13,9 +13,11 @@ in the companion frame table, so CSV consumers can recompute every mean.
 Scenarios that score cached runs against a no-cache baseline build one
 full-pass memo per network (engine.full_passes) and share it between
 those runs: it is their baseline and supplies their refresh frames, so
-each distinct full pass runs once per scenario. superres_tradeoff keeps
-running its own passes, because a memo of its large network would raise
-the suite's peak memory.
+each distinct full pass runs once per scenario. The memo's outputs are
+prepared as metrics references once per scenario, so each baseline
+frame's SSIM moments are computed once and a refresh frame is scored once
+across runs. superres_tradeoff keeps running its own passes, because a
+memo of its large network would raise the suite's peak memory.
 """
 
 import csv
@@ -43,7 +45,7 @@ from .engine import (
     full_passes,
     run_sequence,
 )
-from .metrics import aggregate, mse
+from .metrics import aggregate, mse, prepare_references
 from .netgraph import feature_delta_profile, replace_cache_config
 from .ops import block_mean, repeat_nearest
 from .policies import PRESETS, EveryN, power_schedule, preset_policy
@@ -211,6 +213,18 @@ _NETWORK_DEFAULTS = {
     },
     "feature_profile": {"kind": "unet", "depth": 4, "base_channels": 8, "input_shape": (6, 48, 48)},
 }
+
+# The frame count of each scenario that generates a scene, unless the
+# config's frames sets it.
+_DEFAULT_FRAMES = {
+    "policy_sweep": 10,
+    "ablation_levels": 20,
+    "null_hypothesis": 40,
+    "superres_tradeoff": 40,
+    "feature_profile": 12,
+}
+# The scenarios whose quality means skip the config's warmup frames.
+_SCORED_SCENARIOS = ("policy_sweep", "ablation_levels", "null_hypothesis")
 
 _MEMORY_DEFAULT_ENTRIES = {
     "color_history_24x360x640": [[24, 360, 640]],
@@ -457,16 +471,33 @@ def _options(cfg: RunConfig, scenario: str) -> dict:
     return {**_OPTION_DEFAULTS[scenario], **cfg.options.get(scenario, {})}
 
 
-def _scene_config(cfg: RunConfig, shape, **defaults) -> SceneConfig:
-    """A scene of a network input's (channels, height, width) shape; the
-    config's scene section overrides any field."""
-    channels, height, width = shape
-    size = {"channels": channels, "height": height, "width": width}
-    return SceneConfig(**{"seed": cfg.seed, **size, **defaults, **cfg.scene})
+def _frame_count(cfg: RunConfig, scenario: str) -> int:
+    return cfg.frames or _DEFAULT_FRAMES[scenario]
 
 
 def _network_params(cfg: RunConfig, scenario: str) -> dict:
     return {"seed": cfg.seed, **_NETWORK_DEFAULTS[scenario], **cfg.network}
+
+
+def _scene_shape(cfg: RunConfig, scenario: str) -> tuple[int, int, int]:
+    """The (channels, height, width) of a scenario's scene: its network's
+    input shape, ablation_levels' input_hw square, or the reference_hw
+    square superres_tradeoff downscales to its networks' inputs."""
+    if scenario == "ablation_levels":
+        hw = _options(cfg, scenario)["input_hw"]
+    elif scenario == "superres_tradeoff":
+        hw = _options(cfg, scenario)["reference_hw"]
+    else:
+        return tuple(_network_params(cfg, scenario)["input_shape"])
+    return (6, hw, hw)
+
+
+def _scene_config(cfg: RunConfig, scenario: str, **defaults) -> SceneConfig:
+    """A scenario's scene of _scene_shape; the config's scene section
+    overrides any field (run_scenarios lets it repeat the size only)."""
+    channels, height, width = _scene_shape(cfg, scenario)
+    size = {"channels": channels, "height": height, "width": width}
+    return SceneConfig(**{"seed": cfg.seed, **size, **defaults, **cfg.scene})
 
 
 def _builder(params: dict):
@@ -482,6 +513,28 @@ def _builder(params: dict):
 def _build_network(params: dict):
     build, kwargs = _builder(params)
     return build(**kwargs)
+
+
+def _check_scenes(cfg: RunConfig, names) -> None:
+    """Each named scenario's frame count must exceed warmup where the
+    scenario scores its runs, and be at least 2 for feature_profile; a
+    scene size in the config must equal the scenario's _scene_shape."""
+    for name in names:
+        if name not in _DEFAULT_FRAMES:
+            continue
+        frames = _frame_count(cfg, name)
+        if name in _SCORED_SCENARIOS and cfg.warmup >= frames:
+            raise ValueError(
+                f"warmup must be less than the {frames} frames of scenario {name}, got {cfg.warmup}"
+            )
+        if name == "feature_profile" and frames < 2:
+            raise ValueError(f"frames must be >= 2 for scenario feature_profile, got {frames}")
+        for key, size in zip(("channels", "height", "width"), _scene_shape(cfg, name)):
+            if cfg.scene.get(key, size) != size:
+                raise ValueError(
+                    f"scene.{key} must be {size} to fit the network of scenario {name}, "
+                    f"got {cfg.scene[key]}"
+                )
 
 
 def _check_network(cfg: RunConfig, names) -> None:
@@ -541,16 +594,19 @@ _FRAME_COLUMNS = ("policy", "frame", "refreshed", "flops", "policy_metric", "mse
 _MEAN_MSE = _SUMMARY_COLUMNS.index("mean_mse")
 
 
-def _scored_run(label: str, spec, sequence, policy, memo, warmup: int, corruption=None):
+def _scored_run(label: str, spec, sequence, policy, memo, warmup: int, corruption=None, baseline=None):
     """Run one sequence and score it against the no-cache baseline.
 
     memo holds the full passes of spec's network over sequence: it feeds
-    the refresh frames and its outputs are the baseline. Returns the
-    SequenceReport, its summary row (_SUMMARY_COLUMNS) and its per-frame
-    rows (_FRAME_COLUMNS).
+    the refresh frames and its outputs are the baseline. baseline is
+    prepare_references(memo.outputs), built once by the scenario and
+    shared by its runs so each baseline frame is prepared once and each
+    refresh frame scored once; without it this run prepares its own.
+    Returns the SequenceReport, its summary row (_SUMMARY_COLUMNS) and its
+    per-frame rows (_FRAME_COLUMNS).
     """
     report = run_sequence(spec, sequence, policy, corruption, memo=memo)
-    quality = aggregate(report, memo.outputs, warmup=warmup)
+    quality = aggregate(report, memo.outputs if baseline is None else baseline, warmup=warmup)
     summary = (
         label,
         report.refresh_count,
@@ -589,33 +645,48 @@ def scenario_policy_sweep(cfg: RunConfig) -> list[Table]:
     Runs every policy preset against the same scene and reports refresh
     counts and quality against the no-cache baseline, one row per policy.
     """
-    frames = cfg.frames or 10
+    frames = _frame_count(cfg, "policy_sweep")
     params = _network_params(cfg, "policy_sweep")
     spec = _apply_cache_label(_build_network(params), params["kind"], cfg.cache)
-    scene = _scene_config(cfg, params["input_shape"], pan_speed=3.0, base_cell=8)
+    scene = _scene_config(cfg, "policy_sweep", pan_speed=3.0, base_cell=8)
     presets = _options(cfg, "policy_sweep")["presets"]
     sequence = generate(scene, frames)
     memo = full_passes([spec], sequence)
+    baseline = prepare_references(memo.outputs)
     summary_rows, frame_rows = [], []
     counts: dict[str, int] = {}
     for preset in presets:
         policy = preset_policy(preset, frames)
-        report, summary, per_frame = _scored_run(preset, spec, sequence, policy, memo, cfg.warmup)
+        report, summary, per_frame = _scored_run(
+            preset, spec, sequence, policy, memo, cfg.warmup, baseline=baseline
+        )
         counts[preset] = report.refresh_count
         summary_rows.append(summary)
         frame_rows += per_frame
-    if "n5" in counts:
-        _require(counts["n5"] == math.ceil(frames / 5), "n5 refresh count must be ceil(T/5)")
-    if "n2" in counts:
-        _require(counts["n2"] == math.ceil(frames / 2), "n2 refresh count must be ceil(T/2)")
+    for preset, period in (("n5", 5), ("n2", 2)):
+        if preset in counts:
+            expected = math.ceil(frames / period)
+            _require(
+                counts[preset] == expected,
+                f"{preset} refresh count must be ceil(T/{period})",
+                refresh_count=counts[preset],
+                expected=expected,
+            )
     if "delta_h" in counts and "delta_l" in counts:
         _require(
             counts["delta_h"] >= counts["delta_l"],
             "delta_h (tau 0.20) must refresh at least as often as delta_l (tau 0.25)",
+            delta_h=counts["delta_h"],
+            delta_l=counts["delta_l"],
         )
     if "nonlinear" in counts:
         expected = len(power_schedule(max(1, math.ceil(frames / 5)), 1.4, frames))
-        _require(counts["nonlinear"] == expected, "nonlinear count must match its schedule")
+        _require(
+            counts["nonlinear"] == expected,
+            "nonlinear count must match its schedule",
+            refresh_count=counts["nonlinear"],
+            expected=expected,
+        )
     return [
         Table("policy_sweep_summary", _SUMMARY_COLUMNS, summary_rows),
         Table("policy_sweep_frames", _FRAME_COLUMNS, frame_rows),
@@ -628,13 +699,13 @@ def scenario_ablation_levels(cfg: RunConfig) -> list[Table]:
     Reports the FLOPs remaining on cached frames and sequence quality for
     each cache configuration under one periodic refresh policy.
     """
-    frames = cfg.frames or 20
+    frames = _frame_count(cfg, "ablation_levels")
     opts = _options(cfg, "ablation_levels")
     unet_depth = opts["unet_depth"]
     unetpp_depth = opts["unetpp_depth"]
     base = opts["base_channels"]
     hw = opts["input_hw"]
-    scene = _scene_config(cfg, (6, hw, hw), pan_speed=0.75)
+    scene = _scene_config(cfg, "ablation_levels", pan_speed=0.75)
     sequence = generate(scene, frames)
     policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
 
@@ -645,17 +716,20 @@ def scenario_ablation_levels(cfg: RunConfig) -> list[Table]:
         replace_cache_config(unetpp, config)
         for config in (unetpp_config_b(unetpp_depth), unetpp_config_a(unetpp_depth))
     ]
-    unet_memo = full_passes(unet_specs, sequence)
-    unetpp_memo = full_passes(unetpp_specs, sequence)
-    variants = [("unet", spec, unet_memo) for spec in unet_specs]
-    variants += [("unetpp", spec, unetpp_memo) for spec in unetpp_specs]
+    variants = []
+    for family, specs in (("unet", unet_specs), ("unetpp", unetpp_specs)):
+        memo = full_passes(specs, sequence)
+        baseline = prepare_references(memo.outputs)
+        variants += [(family, spec, memo, baseline) for spec in specs]
 
     rows, frame_rows = [], []
     level_fracs, level_mse, config_fracs = [], [], {}
-    for family, spec, memo in variants:
+    for family, spec, memo, baseline in variants:
         label = spec.cache_config.label
         frac = spec.cached_flops() / spec.full_flops
-        _, summary, per_frame = _scored_run(label, spec, sequence, policy, memo, cfg.warmup)
+        _, summary, per_frame = _scored_run(
+            label, spec, sequence, policy, memo, cfg.warmup, baseline=baseline
+        )
         rows.append((family, label, spec.full_flops, spec.cached_flops(), frac) + summary[1:])
         frame_rows += per_frame
         if family == "unet":
@@ -663,13 +737,28 @@ def scenario_ablation_levels(cfg: RunConfig) -> list[Table]:
             level_mse.append(summary[_MEAN_MSE])
         else:
             config_fracs[label] = frac
-    for frac_prev, frac_next in zip(level_fracs, level_fracs[1:]):
-        _require(frac_prev < frac_next, "FLOPs-remaining must strictly increase with level")
-    for mse_prev, mse_next in zip(level_mse, level_mse[1:]):
-        _require(mse_next <= mse_prev, "mean MSE must be non-increasing with deeper level")
+    # level_fracs[i] and level_mse[i] belong to unet_level_{i + 1}.
+    for level, (frac_prev, frac_next) in enumerate(zip(level_fracs, level_fracs[1:]), start=2):
+        _require(
+            frac_prev < frac_next,
+            "FLOPs-remaining must strictly increase with level",
+            level=level,
+            previous=frac_prev,
+            flops_remaining=frac_next,
+        )
+    for level, (mse_prev, mse_next) in enumerate(zip(level_mse, level_mse[1:]), start=2):
+        _require(
+            mse_next <= mse_prev,
+            "mean MSE must be non-increasing with deeper level",
+            level=level,
+            previous=mse_prev,
+            mean_mse=mse_next,
+        )
     _require(
         config_fracs["unetpp_config_b"] < config_fracs["unetpp_config_a"],
         "config B must leave fewer FLOPs than config A",
+        config_b=config_fracs["unetpp_config_b"],
+        config_a=config_fracs["unetpp_config_a"],
     )
 
     header = ("family", "cache_config", "full_flops", "cached_frame_flops", "flops_remaining") + _SUMMARY_COLUMNS[1:]
@@ -688,16 +777,16 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     are what justifies caching at all: cache contents carry signal, and
     wrong contents are worse than stale ones.
     """
-    frames = cfg.frames or 40
+    frames = _frame_count(cfg, "null_hypothesis")
     opts = _options(cfg, "null_hypothesis")
-    params = _network_params(cfg, "null_hypothesis")
-    spec = _build_network(params)
-    scene = _scene_config(cfg, params["input_shape"], seed=21, pan_speed=0.4)
+    spec = _build_network(_network_params(cfg, "null_hypothesis"))
+    scene = _scene_config(cfg, "null_hypothesis", seed=21, pan_speed=0.4)
     corruption_seed = opts["corruption_seed"]
     noise_scales = opts["noise_scales"]
     policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
     sequence = generate(scene, frames)
     memo = full_passes([spec], sequence)
+    baseline = prepare_references(memo.outputs)
 
     modes: list[tuple[str, Corruption | None]] = [
         ("proper", None),
@@ -721,7 +810,7 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     outputs: dict[str, list[np.ndarray]] = {}
     for label, run_policy, corruption in runs:
         report, summary, per_frame = _scored_run(
-            label, spec, sequence, run_policy, memo, cfg.warmup, corruption
+            label, spec, sequence, run_policy, memo, cfg.warmup, corruption, baseline
         )
         summary_rows.append(summary)
         frame_rows += per_frame
@@ -729,15 +818,35 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
         if label in ("proper", "noise_0"):
             outputs[label] = report.outputs
 
+    differing = [
+        index
+        for index, (a, b) in enumerate(zip(outputs["noise_0"], outputs["proper"]))
+        if not np.array_equal(a, b)
+    ]
     _require(
-        all(np.array_equal(a, b) for a, b in zip(outputs["noise_0"], outputs["proper"])),
+        not differing,
         "noise with sigma_scale 0 must reproduce the proper cache exactly",
+        differing_frames=differing,
     )
-    _require(means["noise_1"] >= 2 * means["proper"], "1-sigma noise must at least double proper-cache MSE")
-    _require(means["noise_1"] <= means["zero"], "zeroing must hurt at least as much as 1-sigma noise")
+    _require(
+        means["noise_1"] >= 2 * means["proper"],
+        "1-sigma noise must at least double proper-cache MSE",
+        noise_1=means["noise_1"],
+        proper=means["proper"],
+    )
+    _require(
+        means["noise_1"] <= means["zero"],
+        "zeroing must hurt at least as much as 1-sigma noise",
+        noise_1=means["noise_1"],
+        zero=means["zero"],
+    )
     for label in ("uniform_random", "normal_random"):
-        _require(means[label] >= 2 * means["zero"], f"{label} must at least double zero-cache MSE")
-        _require(means[label] >= 2 * means["no_update"], f"{label} must at least double no-update MSE")
+        for bound, name in (("zero", "zero-cache"), ("no_update", "no-update")):
+            _require(
+                means[label] >= 2 * means[bound],
+                f"{label} must at least double {name} MSE",
+                **{label: means[label], bound: means[bound]},
+            )
     return [
         Table("null_hypothesis_summary", _SUMMARY_COLUMNS, summary_rows),
         Table("null_hypothesis_frames", _FRAME_COLUMNS, frame_rows),
@@ -780,9 +889,11 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     small-input no-cache baseline. The break-even skipped fraction is
     computed from per-frame FLOPs and asserted against measured totals.
     Output quality is measured against the reference color channels after
-    nearest upsampling back to reference resolution.
+    nearest upsampling back to reference resolution. Each frame's uncached
+    RMSE against the reference is computed once per scale, by the baseline
+    row, whose cache error is zero; the cached rows at that scale reuse it.
     """
-    frames = cfg.frames or 40
+    frames = _frame_count(cfg, "superres_tradeoff")
     opts = _options(cfg, "superres_tradeoff")
     reference_hw = opts["reference_hw"]
     small_scale = opts["small_input_scale"]
@@ -791,7 +902,7 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     lr_pool = opts["lr_pool"]
     cached_policies = opts["policies"]
 
-    scene = _scene_config(cfg, (6, reference_hw, reference_hw), pan_speed=3.0, base_cell=48)
+    scene = _scene_config(cfg, "superres_tradeoff", pan_speed=3.0, base_cell=48)
     reference, (small_frames, large_frames) = _stream_reference(
         scene, frames, (small_scale, large_scale)
     )
@@ -811,19 +922,23 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     flops_ratio = small_spec.full_flops / large_spec.full_flops
     break_even = (1.0 - flops_ratio) / (1.0 - live_fraction)
 
-    def run_row(scale, spec, frames_in, label, policy, full_outputs=None):
+    def run_row(scale, spec, frames_in, label, policy, uncached=None):
+        """One row's summary and frame rows, and its (outputs, per-frame
+        rmse_vs_reference). A baseline row (uncached None) refreshes every
+        frame, so it is its own uncached run; a cached row takes its
+        scale's baseline pair as uncached."""
         report = run_sequence(spec, frames_in, policy)
-        # A baseline row refreshes every frame, so its own outputs are the
-        # uncached reference for itself and for the cached rows that follow.
-        full = report.outputs if full_outputs is None else full_outputs
         rows = []
         vs_ref, vs_full = [], []
         for rec in report.frames:
             up = repeat_nearest(rec.output, scale)
-            up_full = repeat_nearest(full[rec.index], scale)
             rmse_ref = math.sqrt(mse(up, reference[rec.index]))
-            rmse_full_ref = math.sqrt(mse(up_full, reference[rec.index]))
-            rmse_cache = math.sqrt(mse(up, up_full))
+            if uncached is None:
+                rmse_full_ref, rmse_cache = rmse_ref, 0.0
+            else:
+                full_outputs, full_rmse = uncached
+                rmse_full_ref = full_rmse[rec.index]
+                rmse_cache = math.sqrt(mse(up, repeat_nearest(full_outputs[rec.index], scale)))
             _require(
                 rmse_ref <= rmse_full_ref + rmse_cache + 1e-9,
                 "per-frame quality must stay within the uncached quality plus the cache error",
@@ -846,14 +961,14 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
             float(np.mean(np.asarray(vs_ref, dtype=np.float64))),
             float(np.mean(np.asarray(vs_full, dtype=np.float64))),
         )
-        return summary, rows, report.outputs
+        return summary, rows, (report.outputs, vs_ref)
 
     summary_rows, frame_rows = [], []
     summary, rows, _ = run_row(small_scale, small_spec, small_frames, f"scale{small_scale}_baseline", EveryN(1))
     baseline_total = summary[4]
     summary_rows.append(summary)
     frame_rows += rows
-    summary, rows, large_full = run_row(
+    summary, rows, large_uncached = run_row(
         large_scale, large_spec, large_frames, f"scale{large_scale}_baseline", EveryN(1)
     )
     summary_rows.append(summary)
@@ -861,7 +976,7 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     for preset in cached_policies:
         policy = preset_policy(preset, frames)
         summary, rows, _ = run_row(
-            large_scale, large_spec, large_frames, f"scale{large_scale}_{preset}", policy, large_full
+            large_scale, large_spec, large_frames, f"scale{large_scale}_{preset}", policy, large_uncached
         )
         summary_rows.append(summary)
         frame_rows += rows
@@ -910,30 +1025,33 @@ def scenario_memory_report(cfg: RunConfig) -> list[Table]:
             {f"entry_{i}": np.zeros(tuple(s), dtype=np.float32) for i, s in enumerate(shapes)}
         )
         values = sum(int(np.prod(s)) for s in shapes)
-        _require(total == 4 * values, "cache bytes must equal 4 per stored value")
+        _require(total == 4 * values, "cache bytes must equal 4 per stored value", bytes=total, values=values)
         expected = _MEMORY_EXPECTED_BYTES.get(label)
         if expected is not None and list(map(list, shapes)) == _MEMORY_DEFAULT_ENTRIES[label]:
-            _require(total == expected, f"{label} must occupy {expected} bytes")
+            _require(total == expected, f"{label} must occupy {expected} bytes", bytes=total)
         rows.append((label, len(shapes), values, total))
     return [Table("memory_report_summary", ("workload", "entries", "values", "bytes"), rows)]
 
 
 def scenario_feature_profile(cfg: RunConfig) -> list[Table]:
     """Per-depth feature drift (SMAPE against frame 0) on a panning scene."""
-    frames = cfg.frames or 12
-    params = _network_params(cfg, "feature_profile")
-    spec = _build_network(params)
-    scene = _scene_config(cfg, params["input_shape"], pan_speed=1.0, base_cell=24)
+    frames = _frame_count(cfg, "feature_profile")
+    spec = _build_network(_network_params(cfg, "feature_profile"))
+    scene = _scene_config(cfg, "feature_profile", pan_speed=1.0, base_cell=24)
     sequence = generate(scene, frames)
     profile = feature_delta_profile(spec, [frame.input for frame in sequence])
     depths = sorted(profile)
     for depth in depths:
         curve = profile[depth]
-        _require(curve[0] == 0.0, "frame 0 must have zero drift at every depth")
-        _require(
-            all(b >= a - 1e-9 for a, b in zip(curve, curve[1:])),
-            f"depth {depth} drift must be non-decreasing on a monotone pan",
-        )
+        _require(curve[0] == 0.0, "frame 0 must have zero drift at every depth", depth=depth, drift=curve[0])
+        for frame, (previous, drift) in enumerate(zip(curve, curve[1:]), start=1):
+            _require(
+                drift >= previous - 1e-9,
+                f"depth {depth} drift must be non-decreasing on a monotone pan",
+                frame=frame,
+                previous=previous,
+                drift=drift,
+            )
     rows = [
         tuple([i] + [profile[d][i] for d in depths])
         for i in range(frames)
@@ -961,8 +1079,7 @@ def run_scenarios(cfg: RunConfig, out_dir=None, log=print) -> int:
     validate_run_config(cfg)
     names = list(SCENARIO_NAMES) if cfg.scenario == "all" else [cfg.scenario]
     _check_network(cfg, names)
-    if "feature_profile" in names and cfg.frames is not None and cfg.frames < 2:
-        raise ValueError(f"frames must be >= 2 for scenario feature_profile, got {cfg.frames}")
+    _check_scenes(cfg, names)
     destination = Path(out_dir if out_dir is not None else cfg.out_dir)
     status = 0
     for name in names:

@@ -5,6 +5,14 @@ planes. SSIM uses uniform 8x8 windows with stride 4 and population
 statistics, averaged over every window of every channel; it is a
 comparative score, not a calibrated reproduction of any published SSIM
 variant.
+
+A baseline frame is scored against many runs, so aggregate works from
+PreparedReference objects: each holds the frame, its SSIM window mean and
+variance, and, once asked for, its score against itself. Every run then
+reuses that work, and a refresh frame whose output is the baseline array
+itself takes the stored self-score. The same numpy calls run on the same
+arrays either way, so the scores are bit-identical to scoring from
+scratch.
 """
 
 import math
@@ -17,7 +25,15 @@ from .ops import smape
 SSIM_WINDOW = 8
 SSIM_STRIDE = 4
 
-__all__ = ["QualityReport", "aggregate", "mse", "ssim", "smape"]
+__all__ = [
+    "PreparedReference",
+    "QualityReport",
+    "aggregate",
+    "mse",
+    "prepare_references",
+    "ssim",
+    "smape",
+]
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
@@ -30,7 +46,7 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared error over all channels and pixels."""
     _check_pair(a, b)
-    diff = a.astype(np.float64) - b.astype(np.float64)
+    diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     return float(np.mean(diff * diff))
 
 
@@ -47,24 +63,67 @@ def _window_views(x: np.ndarray) -> np.ndarray:
     )
 
 
-def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
+def _moments(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window mean and population variance. var(mean=mu) skips the
+    mean numpy's var would compute again; mu is the same sum / count, so
+    the variance keeps its bits."""
+    mu = windows.mean(axis=(3, 4), keepdims=True)
+    return mu[..., 0, 0], windows.var(axis=(3, 4), mean=mu)
+
+
+class PreparedReference:
+    """A baseline frame with the parts of its scores that depend on it alone.
+
+    Holds the frame array, its float64 SSIM window means and variances
+    (C x n_h x n_w each) and, per peak, its (mse, ssim, smape) against
+    itself once self_scores asks for it. The frame must not change while
+    the reference is in use; full_passes outputs are read-only. It keeps no
+    float64 copy of the frame: each score converts it again, so a list of
+    references costs little more than the frames themselves.
+    """
+
+    __slots__ = ("array", "mean", "var", "_self_scores")
+
+    def __init__(self, frame: np.ndarray):
+        array = np.asarray(frame)
+        if array.ndim != 3:
+            raise ValueError("metrics expect rank-3 (C, H, W) arrays")
+        _, h, w = array.shape
+        if h < SSIM_WINDOW or w < SSIM_WINDOW:
+            raise ValueError(f"ssim needs spatial dims >= {SSIM_WINDOW}, got {h}x{w}")
+        self.array = array
+        self.mean, self.var = _moments(_window_views(np.ascontiguousarray(array, dtype=np.float64)))
+        self._self_scores: dict[float, tuple[float, float, float]] = {}
+
+    def self_scores(self, peak: float = 1.0) -> tuple[float, float, float]:
+        """(mse, ssim, smape) of the frame against itself, computed once per peak."""
+        if peak not in self._self_scores:
+            self._self_scores[peak] = _scores(self.array, self, peak)
+        return self._self_scores[peak]
+
+
+def prepare_references(frames) -> list[PreparedReference]:
+    """PreparedReference of each baseline frame; prepared ones pass through."""
+    return [f if isinstance(f, PreparedReference) else PreparedReference(f) for f in frames]
+
+
+def ssim(a: np.ndarray, b, peak: float = 1.0) -> float:
     """Mean structural similarity over strided 8x8 windows.
 
     C1 = (0.01 * peak)^2 and C2 = (0.03 * peak)^2; window statistics are
     population moments. Spatial dims must be at least the window size.
+    b is an array or a PreparedReference of one, whose window moments are
+    then not computed again.
     """
-    _check_pair(a, b)
+    _check_pair(a, b.array if isinstance(b, PreparedReference) else b)
     if peak <= 0:
         raise ValueError("peak must be positive")
-    _, h, w = a.shape
-    if h < SSIM_WINDOW or w < SSIM_WINDOW:
-        raise ValueError(f"ssim needs spatial dims >= {SSIM_WINDOW}, got {h}x{w}")
+    # Preparing checks the spatial dims, which a shares.
+    ref = b if isinstance(b, PreparedReference) else PreparedReference(b)
     wa = _window_views(np.ascontiguousarray(a, dtype=np.float64))
-    wb = _window_views(np.ascontiguousarray(b, dtype=np.float64))
-    mu_a = wa.mean(axis=(3, 4))
-    mu_b = wb.mean(axis=(3, 4))
-    var_a = wa.var(axis=(3, 4))
-    var_b = wb.var(axis=(3, 4))
+    wb = _window_views(np.ascontiguousarray(ref.array, dtype=np.float64))
+    mu_a, var_a = _moments(wa)
+    mu_b, var_b = ref.mean, ref.var
     cov = (wa * wb).mean(axis=(3, 4)) - mu_a * mu_b
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
@@ -72,6 +131,13 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
         (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     )
     return float(score.mean())
+
+
+def _scores(out: np.ndarray, ref: PreparedReference, peak: float) -> tuple[float, float, float]:
+    """(mse, ssim, smape) of one output against a prepared reference; the
+    output is converted to float64 once for all three."""
+    out64 = np.asarray(out, dtype=np.float64)
+    return mse(out64, ref.array), ssim(out64, ref, peak=peak), smape(out64, ref.array)
 
 
 @dataclass
@@ -86,8 +152,14 @@ class QualityReport:
     per_frame_ssim: list[float]
 
 
-def aggregate(report, baseline: list[np.ndarray], peak: float = 1.0, warmup: int = 0) -> QualityReport:
+def aggregate(report, baseline, peak: float = 1.0, warmup: int = 0) -> QualityReport:
     """Summarize a SequenceReport against per-frame baseline outputs.
+
+    baseline is a list of arrays or of PreparedReference; a scenario that
+    scores several runs against one baseline prepares it once and passes
+    the same list to each. An output that is the baseline's own array (a
+    refresh frame served from a full-pass memo) takes the reference's
+    stored self-score; an equal-valued copy is scored in full.
 
     warmup drops the first frames from the quality means (the per-frame
     lists still cover the whole run). The headline PSNR is computed from
@@ -99,9 +171,11 @@ def aggregate(report, baseline: list[np.ndarray], peak: float = 1.0, warmup: int
         raise ValueError("baseline length does not match the report")
     if not 0 <= warmup < len(outputs):
         raise ValueError("warmup must leave at least one scored frame")
-    mses = [mse(out, ref) for out, ref in zip(outputs, baseline)]
-    ssims = [ssim(out, ref, peak=peak) for out, ref in zip(outputs, baseline)]
-    smapes = [smape(out, ref) for out, ref in zip(outputs, baseline)]
+    scores = [
+        ref.self_scores(peak) if out is ref.array else _scores(out, ref, peak)
+        for out, ref in zip(outputs, prepare_references(baseline))
+    ]
+    mses, ssims, smapes = (list(column) for column in zip(*scores))
     scored = slice(warmup, None)
     mean_mse = float(np.mean(mses[scored]))
     return QualityReport(

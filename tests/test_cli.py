@@ -237,6 +237,15 @@ class TestErrorHandling:
                 "options.superres_tradeoff.reference_hw",
             ),
             ({"frames": 1}, "frames must be >= 2 for scenario feature_profile"),
+            ({"warmup": 30}, "warmup must be less than the 10 frames of scenario policy_sweep"),
+            ({"frames": 4, "warmup": 4}, "warmup must be less than the 4 frames of scenario policy_sweep"),
+            ({"scene": {"height": 40}}, "scene.height must be 48 to fit the network of scenario policy_sweep"),
+            ({"scene": {"width": 64}}, "scene.width must be 48 to fit the network of scenario policy_sweep"),
+            ({"scene": {"channels": 3}}, "scene.channels must be 6"),
+            (
+                {"scene": {"height": 48, "width": 48}, "options": {"ablation_levels": {"input_hw": 32}}},
+                "scene.height must be 32 to fit the network of scenario ablation_levels",
+            ),
         ],
     )
     def test_bad_field_rejected_before_any_scenario(self, tmp_path, fields, named):

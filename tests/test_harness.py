@@ -283,8 +283,12 @@ class TestSuperresTradeoffScenario:
         assert len(tables[1].rows) == 5 * 4
 
     def test_failed_quality_check_reports_its_numbers(self, tmp_path, monkeypatch):
-        # Per frame the scenario takes mse(up, reference), then
-        # mse(up_full, reference), then mse(up, up_full): 3 > 1 + 1.
+        # A baseline row takes mse(up, reference) per frame, and is its own
+        # uncached run, so its check cannot fail. A cached row takes
+        # mse(up, reference), then mse(up, up_full), and reuses the large
+        # baseline's rmse per frame. Cycling 9, 1, 1 over 4 + 4 baseline
+        # calls leaves the large baseline's rmse at [1, 1, 3, 1]; n5 passes,
+        # and delta_h's frame 1 gets rmse_ref 3 against 1 + 1.
         values = itertools.cycle([9.0, 1.0, 1.0])
         monkeypatch.setattr(harness, "mse", lambda a, b: next(values))
         logs = []
@@ -292,7 +296,7 @@ class TestSuperresTradeoffScenario:
         assert status == 1
         assert logs == [
             "[FAIL] superres_tradeoff: per-frame quality must stay within the uncached "
-            "quality plus the cache error (row=scale4_baseline, frame=0, rmse_ref=3.0, "
+            "quality plus the cache error (row=scale3_delta_h, frame=1, rmse_ref=3.0, "
             "rmse_full_ref_plus_cache=2.0)"
         ]
 
@@ -346,6 +350,57 @@ class TestPolicySweepScenario:
         summary = scenario_policy_sweep(cfg)[0]
         assert summary.column("policy") == ["n5", "n2"]
         assert summary.column("refresh_count") == [2, 3]
+
+
+class TestFailedChecksReportTheirNumbers:
+    """A failed scenario check prints the values it compared."""
+
+    def test_policy_sweep_refresh_count(self, tmp_path, monkeypatch):
+        # n5 refreshing every 4th frame gives ceil(10/4) = 3 refreshes.
+        preset_policy = harness.preset_policy
+        monkeypatch.setattr(
+            harness,
+            "preset_policy",
+            lambda name, horizon: EveryN(4) if name == "n5" else preset_policy(name, horizon),
+        )
+        cfg = minimal_config(scenario="policy_sweep", options={"policy_sweep": {"presets": ["n5"]}})
+        logs = []
+        assert run_scenarios(cfg, out_dir=tmp_path, log=logs.append) == 1
+        assert logs == [
+            "[FAIL] policy_sweep: n5 refresh count must be ceil(T/5) (refresh_count=3, expected=2)"
+        ]
+
+    def test_null_hypothesis_means(self, tmp_path, monkeypatch):
+        # Each run's mean MSE replaced: 1-sigma noise only 1.5x the proper cache.
+        means = {"proper": 0.5, "noise_1": 0.75}
+        scored_run = harness._scored_run
+
+        def fixed_means(label, *args):
+            report, summary, frames = scored_run(label, *args)
+            summary = list(summary)
+            summary[harness._MEAN_MSE] = means.get(label, 100.0)
+            return report, tuple(summary), frames
+
+        monkeypatch.setattr(harness, "_scored_run", fixed_means)
+        cfg = minimal_config(scenario="null_hypothesis", frames=4)
+        logs = []
+        assert run_scenarios(cfg, out_dir=tmp_path, log=logs.append) == 1
+        assert logs == [
+            "[FAIL] null_hypothesis: 1-sigma noise must at least double proper-cache MSE "
+            "(noise_1=0.75, proper=0.5)"
+        ]
+
+    def test_feature_profile_drift(self, tmp_path, monkeypatch):
+        # The depth-3 drift of the seed-63 scene over frames 9-11, rounded.
+        profile = {1: [0.0, 0.1, 0.2, 0.3], 3: [0.0, 0.21834, 0.21764, 0.21511]}
+        monkeypatch.setattr(harness, "feature_delta_profile", lambda spec, inputs: profile)
+        cfg = minimal_config(scenario="feature_profile", frames=4)
+        logs = []
+        assert run_scenarios(cfg, out_dir=tmp_path, log=logs.append) == 1
+        assert logs == [
+            "[FAIL] feature_profile: depth 3 drift must be non-decreasing on a monotone pan "
+            "(frame=2, previous=0.21834, drift=0.21764)"
+        ]
 
 
 class TestRunScenarios:

@@ -2,24 +2,36 @@
 
 The SSIM oracle below walks every strided window with explicit loops and
 population statistics, so the vectorized implementation is checked against
-a direct transcription of the scoring formula.
+a direct transcription of the scoring formula. _seed_ssim is the
+vectorized formula as it was before baseline frames were prepared once;
+the prepared path must reproduce it bit for bit.
 """
 
 import math
+import struct
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import framecache.metrics as metrics
+from framecache.builders import build_unet
+from framecache.engine import full_passes, run_sequence
 from framecache.metrics import (
     SSIM_STRIDE,
     SSIM_WINDOW,
+    PreparedReference,
     QualityReport,
     aggregate,
     mse,
+    prepare_references,
     smape,
     ssim,
 )
+from framecache.policies import EveryN, preset_policy
+from framecache.workload import SceneConfig, generate
 
 
 def naive_ssim(a, b, peak=1.0):
@@ -207,3 +219,154 @@ class TestAggregate:
             aggregate(report, outputs, warmup=3)
         with pytest.raises(ValueError, match="warmup"):
             aggregate(report, outputs, warmup=-1)
+
+
+def _seed_ssim(a, b, peak=1.0):
+    """ssim as computed before prepared references: both sides' moments
+    from their own float64 window views."""
+    wa = metrics._window_views(np.ascontiguousarray(a, dtype=np.float64))
+    wb = metrics._window_views(np.ascontiguousarray(b, dtype=np.float64))
+    mu_a = wa.mean(axis=(3, 4))
+    mu_b = wb.mean(axis=(3, 4))
+    var_a = wa.var(axis=(3, 4))
+    var_b = wb.var(axis=(3, 4))
+    cov = (wa * wb).mean(axis=(3, 4)) - mu_a * mu_b
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    score = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    )
+    return float(score.mean())
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def report_bits(report: QualityReport) -> dict:
+    """Every field of a QualityReport, floats as their bytes."""
+    return {
+        "mean_mse": bits(report.mean_mse),
+        "psnr_of_mean_mse": bits(report.psnr_of_mean_mse),
+        "mean_ssim": bits(report.mean_ssim),
+        "mean_smape": bits(report.mean_smape),
+        "per_frame_mse": [bits(v) for v in report.per_frame_mse],
+        "per_frame_ssim": [bits(v) for v in report.per_frame_ssim],
+    }
+
+
+def plane_pair(seed, shape, kind):
+    """Two float32 images of shape: noisy random planes, or ones with
+    constant planes, or signed zeros mixed with small values."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
+    b = (a + rng.normal(0.0, 0.2, size=shape)).astype(np.float32)
+    if kind == "constant":
+        for image in (a, b):
+            for channel in range(shape[0]):
+                if rng.random() < 0.5:
+                    image[channel] = np.float32(rng.uniform(-1.0, 1.0))
+    elif kind == "signed_zero":
+        for image in (a, b):
+            zeros = rng.random(shape) < 0.7
+            image[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    return a, b
+
+
+class TestPreparedReference:
+    """Scoring against prepared baseline frames is bit-identical to scoring
+    from scratch, and does the baseline-only work once."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        channels=st.integers(1, 6),
+        height=st.integers(8, 40),
+        width=st.integers(8, 40),
+        kind=st.sampled_from(["noise", "constant", "signed_zero"]),
+        seed=st.integers(0, 2**32 - 1),
+        peak=st.sampled_from([1.0, 2.0, 255.0]),
+    )
+    def test_ssim_matches_the_seed_formula_by_bits(self, channels, height, width, kind, seed, peak):
+        a, b = plane_pair(seed, (channels, height, width), kind)
+        expected = bits(_seed_ssim(a, b, peak))
+        assert bits(ssim(a, b, peak=peak)) == expected
+        assert bits(ssim(a, PreparedReference(b), peak=peak)) == expected
+        assert bits(ssim(a.astype(np.float64), PreparedReference(b), peak=peak)) == expected
+        assert bits(ssim(b, PreparedReference(b), peak=peak)) == bits(_seed_ssim(b, b, peak))
+
+    def test_reference_holds_only_the_frame_and_its_moments(self):
+        frame = np.random.default_rng(0).uniform(size=(3, 16, 24)).astype(np.float32)
+        frame.setflags(write=False)
+        ref = PreparedReference(frame)
+        assert ref.array is frame
+        # 3 channels of 3 x 5 windows of stride 4.
+        assert ref.mean.shape == ref.var.shape == (3, 3, 5)
+        assert ref.mean.dtype == ref.var.dtype == np.float64
+        assert ref.mean.nbytes == ref.var.nbytes == 3 * 3 * 5 * 8
+
+    def test_prepared_references_pass_through(self):
+        frames = [np.zeros((1, 8, 8), dtype=np.float32) for _ in range(2)]
+        refs = prepare_references(frames)
+        assert [ref.array for ref in refs] == frames
+        assert all(a is b for a, b in zip(prepare_references(refs), refs))
+
+    def test_reference_validation(self):
+        with pytest.raises(ValueError, match="rank-3"):
+            PreparedReference(np.zeros((8, 8), dtype=np.float32))
+        with pytest.raises(ValueError, match="spatial dims"):
+            PreparedReference(np.zeros((1, 8, 7), dtype=np.float32))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ssim(np.zeros((1, 8, 9), dtype=np.float32), PreparedReference(np.zeros((1, 8, 8))))
+
+
+@pytest.fixture(scope="module")
+def memo_runs():
+    """A full-pass memo over 7 frames and reports of three policies run on it."""
+    spec = build_unet(2, 4, (6, 16, 16), seed=3)
+    scene = SceneConfig(seed=2, channels=6, height=16, width=16, pan_speed=2.0, base_cell=8)
+    frames = generate(scene, 7).frames
+    memo = full_passes([spec], frames)
+    policies = (EveryN(3), EveryN(1), preset_policy("no_update", 7))
+    reports = [run_sequence(spec, frames, policy, memo=memo) for policy in policies]
+    return memo, reports
+
+
+class TestSharedBaseline:
+    """aggregate against one prepared baseline shared by several runs."""
+
+    def test_shared_baseline_gives_the_same_reports_by_bits(self, memo_runs):
+        memo, reports = memo_runs
+        shared = prepare_references(memo.outputs)
+        for warmup in (0, 2):
+            for report in reports:
+                expected = aggregate(report, [out.copy() for out in memo.outputs], warmup=warmup)
+                assert report_bits(aggregate(report, shared, warmup=warmup)) == report_bits(expected)
+                assert report_bits(aggregate(report, memo.outputs, warmup=warmup)) == report_bits(expected)
+
+    def test_refresh_frames_scored_once_copies_in_full(self, memo_runs, monkeypatch):
+        memo, reports = memo_runs
+        calls = []
+        seed_ssim = metrics.ssim
+
+        def counting_ssim(a, b, peak=1.0):
+            calls.append(a.shape)
+            return seed_ssim(a, b, peak=peak)
+
+        monkeypatch.setattr(metrics, "ssim", counting_ssim)
+        shared = prepare_references(memo.outputs)
+        every_3, every_1, _ = reports
+        # Frames 0, 3 and 6 refresh and are the memo's own arrays; the
+        # other four are cached frames.
+        aggregate(every_3, shared)
+        assert len(calls) == 7
+        # Every frame refreshes: only the four frames not yet scored
+        # against themselves need a call, and a second run needs none.
+        aggregate(every_1, shared)
+        assert len(calls) == 11
+        aggregate(every_1, shared)
+        assert len(calls) == 11
+        # Equal-valued copies of the memo outputs are scored in full.
+        copies = types.SimpleNamespace(outputs=[out.copy() for out in memo.outputs])
+        aggregate(copies, shared)
+        aggregate(copies, shared)
+        assert len(calls) == 11 + 2 * 7
