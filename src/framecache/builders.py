@@ -49,6 +49,8 @@ def make_conv(
     padding: int | None = None,
 ) -> ConvParams:
     """Seeded He-initialized conv; padding defaults to kernel // 2."""
+    if out_channels < 1:
+        raise ValueError(f"out_channels must be >= 1, got {out_channels}")
     if padding is None:
         padding = kernel // 2
     fan_in = in_channels * kernel * kernel
@@ -80,13 +82,20 @@ def _conv_block_ops(rng, in_channels: int, out_channels: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _check_divisible(height: int, width: int, levels: int) -> None:
+def _check_input(input_shape: tuple[int, int, int], levels: int, seed: int) -> None:
+    """The arguments every family takes: a positive input_shape whose
+    height and width halve evenly levels times, and a non-negative seed."""
+    if min(input_shape) < 1:
+        raise ValueError(f"input_shape must be positive, got {input_shape}")
+    _, height, width = input_shape
     div = 1 << levels
     if height % div or width % div:
         raise ValueError(
-            f"spatial dims {height}x{width} must be divisible by {div} "
+            f"input_shape {height}x{width} must be divisible by {div} "
             f"for {levels} downsampling steps"
         )
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def build_unet(
@@ -107,8 +116,8 @@ def build_unet(
         raise ValueError("build_unet needs depth >= 2")
     if base_channels < 1:
         raise ValueError("base_channels must be >= 1")
-    in_c, height, width = input_shape
-    _check_divisible(height, width, depth - 1)
+    _check_input(input_shape, depth - 1, seed)
+    in_c = input_shape[0]
     if out_channels is None:
         out_channels = in_c
     rng = np.random.default_rng(seed)
@@ -207,8 +216,8 @@ def build_unetpp(
         raise ValueError("build_unetpp needs depth >= 1")
     if base_channels < 1:
         raise ValueError("base_channels must be >= 1")
-    in_c, height, width = input_shape
-    _check_divisible(height, width, depth)
+    _check_input(input_shape, depth, seed)
+    in_c = input_shape[0]
     if out_channels is None:
         out_channels = in_c
     rng = np.random.default_rng(seed)
@@ -377,10 +386,12 @@ def build_superres(
     resolution. Weight draws are ordered so two builds with the same seed
     share weights regardless of lr_pool.
     """
-    in_c, height, width = input_shape
+    if base_channels < 1:
+        raise ValueError("base_channels must be >= 1")
     if lr_pool < 0:
         raise ValueError("lr_pool must be >= 0")
-    _check_divisible(height, width, lr_pool)
+    _check_input(input_shape, lr_pool, seed)
+    in_c = input_shape[0]
     rng = np.random.default_rng(seed)
     wide = base_channels * 2
     hr_ops = _conv_block_ops(rng, in_c, wide)

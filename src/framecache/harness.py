@@ -25,6 +25,8 @@ import dataclasses
 import inspect
 import json
 import math
+import re
+import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,15 +74,6 @@ __all__ = [
 ]
 
 CONFIG_VERSION = 1
-
-SCENARIO_NAMES = (
-    "policy_sweep",
-    "ablation_levels",
-    "null_hypothesis",
-    "superres_tradeoff",
-    "memory_report",
-    "feature_profile",
-)
 
 # The preset of the scenarios that take their policy from the config.
 _DEFAULT_POLICY_PRESET = "n5"
@@ -196,8 +189,6 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
 
-_NETWORK_INT_FIELDS = ("depth", "base_channels", "lr_pool", "out_channels", "seed")
-
 _BUILDERS = {"unet": build_unet, "unetpp": build_unetpp, "superres": build_superres}
 
 # The builder parameters of each scenario that reads the network section;
@@ -227,42 +218,9 @@ _DEFAULT_FRAMES = {
 _SCORED_SCENARIOS = ("policy_sweep", "ablation_levels", "null_hypothesis")
 
 _MEMORY_DEFAULT_ENTRIES = {
-    "color_history_24x360x640": [[24, 360, 640]],
-    "pyramid_7x64x192x256": [[64, 192, 256]] * 7,
-    "empty": [],
-}
-
-# Every key a scenario's options object may hold, with its default.
-_OPTION_DEFAULTS = {
-    "policy_sweep": {"presets": [name for name in PRESETS if name != "no_update"]},
-    "ablation_levels": {"unet_depth": 4, "unetpp_depth": 2, "base_channels": 8, "input_hw": 48},
-    "null_hypothesis": {"corruption_seed": 3, "noise_scales": [0.5, 2.0]},
-    "superres_tradeoff": {
-        "reference_hw": 192,
-        "small_input_scale": 4,
-        "large_input_scale": 3,
-        "base_channels": 8,
-        "lr_pool": 2,
-        "policies": ["n5", "delta_h", "delta_l"],
-    },
-    "memory_report": {"entries": _MEMORY_DEFAULT_ENTRIES},
-    "feature_profile": {},
-}
-# The options that list policy presets.
-_PRESET_OPTIONS = {("policy_sweep", "presets"), ("superres_tradeoff", "policies")}
-# The least value of each numeric option, or of each item of a list one.
-_OPTION_MINIMUMS = {
-    ("ablation_levels", "unet_depth"): 2,
-    ("ablation_levels", "unetpp_depth"): 1,
-    ("ablation_levels", "base_channels"): 1,
-    ("ablation_levels", "input_hw"): 1,
-    ("null_hypothesis", "corruption_seed"): 0,
-    ("null_hypothesis", "noise_scales"): 0,
-    ("superres_tradeoff", "reference_hw"): 1,
-    ("superres_tradeoff", "small_input_scale"): 1,
-    ("superres_tradeoff", "large_input_scale"): 1,
-    ("superres_tradeoff", "base_channels"): 1,
-    ("superres_tradeoff", "lr_pool"): 0,
+    "color_history_24x360x640": ((24, 360, 640),),
+    "pyramid_7x64x192x256": ((64, 192, 256),) * 7,
+    "empty": (),
 }
 
 
@@ -271,14 +229,23 @@ def _is_int(value) -> bool:
 
 
 def _fits(value, kind) -> bool:
-    """Whether a config value has a field's type: int (not bool), float
-    (an int too, such as 1 for 1.0), or a tuple of those."""
+    """Whether a config value has an annotation's type: int (not bool),
+    float (an int too, such as 1 for 1.0), str, None, a tuple or a
+    str-keyed dict of those, or a union such as int | None."""
     if kind is float:
         return _is_int(value) or isinstance(value, float)
     if kind is int:
         return _is_int(value)
-    items = typing.get_args(kind)
-    if not isinstance(value, tuple):
+    if kind in (str, type(None)):
+        return isinstance(value, kind)
+    origin, items = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, item) for item in items)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(key, items[0]) and _fits(item, items[1]) for key, item in value.items()
+        )
+    if origin is not tuple or not isinstance(value, tuple):
         return False
     if items[-1] is Ellipsis:
         return all(_fits(item, items[0]) for item in value)
@@ -289,27 +256,168 @@ def _type_name(kind) -> str:
     return kind.__name__ if isinstance(kind, type) else str(kind)
 
 
-def _like(value, default) -> bool:
-    """Whether a JSON value has the type of an option's default: each item
-    of a list (each value of an object) that of the default's first one,
-    an int where a float is."""
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_like(item, default[0]) for item in value)
-    if isinstance(default, dict):
-        first = next(iter(default.values()))
-        return isinstance(value, dict) and all(_like(item, first) for item in value.values())
-    if isinstance(default, (int, float)):
-        return _fits(value, type(default))
-    return isinstance(value, type(default))
+def _tuples(value):
+    """A JSON value with every array in it, nested ones and those inside
+    objects included, as a tuple."""
+    if isinstance(value, list):
+        return tuple(map(_tuples, value))
+    if isinstance(value, dict):
+        return {key: _tuples(item) for key, item in value.items()}
+    return value
 
 
-def _json_type(default, plural: str = "") -> str:
-    """An option default's JSON type, such as "array of numbers"."""
-    if isinstance(default, list):
-        return f"array{plural} of {_json_type(default[0], 's')}"
-    if isinstance(default, dict):
-        return f"object{plural} of {_json_type(next(iter(default.values())), 's')}"
-    return {int: "integer", float: "number", str: "string"}[type(default)] + plural
+def _construct(section: str, constructor, values: dict, defaults: dict | None = None):
+    """constructor(**defaults, **values), each of values checked first: its
+    key must be a parameter of constructor, and its value, JSON arrays as
+    tuples, must fit that parameter's annotation. Each message names the
+    config section; a ValueError of the constructor is joined to it with
+    "." when its message starts with a parameter name, else with ": "."""
+    params = inspect.signature(constructor, eval_str=True).parameters
+    checked = {}
+    for key, value in values.items():
+        if key not in params:
+            raise ValueError(
+                f"{section} field {key!r} is not a parameter of {constructor.__name__}; "
+                f"allowed: {list(params)}"
+            )
+        checked[key] = value = _tuples(value)
+        kind = params[key].annotation
+        if not _fits(value, kind):
+            raise ValueError(f"{section}.{key} must be {_type_name(kind)}, got {value!r}")
+    try:
+        return constructor(**{**(defaults or {}), **checked})
+    except ValueError as err:
+        joint = "." if re.match(r"\w*", str(err))[0] in params else ": "
+        raise ValueError(f"{section}{joint}{err}") from None
+
+
+# ---------------------------------------------------------------------------
+# Scenario options: one record per scenario, built from options.<scenario>
+# ---------------------------------------------------------------------------
+
+
+def _check_minimums(record, **least) -> None:
+    """Each named field of an options record, or each item of a tuple
+    field, must be finite and at least its least value."""
+    for key, bound in least.items():
+        value = getattr(record, key)
+        items = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(item) and item >= bound for item in items):
+            raise ValueError(f"{key} must be >= {bound}, got {value!r}")
+
+
+def _check_presets(key: str, names) -> None:
+    unknown = [name for name in names if name not in PRESETS]
+    if unknown:
+        raise ValueError(f"{key}: unknown policy presets {unknown}; pick from {tuple(PRESETS)}")
+
+
+def _halvings(size: int) -> int:
+    """How many times a positive size halves evenly."""
+    return (size & -size).bit_length() - 1
+
+
+@dataclass(frozen=True)
+class PolicySweepOptions:
+    """The policy presets policy_sweep compares, in row order."""
+
+    presets: tuple[str, ...] = tuple(name for name in PRESETS if name != "no_update")
+
+    def __post_init__(self):
+        _check_presets("presets", self.presets)
+
+
+@dataclass(frozen=True)
+class AblationLevelsOptions:
+    """The depths and base channels of ablation_levels' U-Net and U-Net++,
+    and its square scene size, which must halve evenly as often as they
+    pool."""
+
+    unet_depth: int = 4
+    unetpp_depth: int = 2
+    base_channels: int = 8
+    input_hw: int = 48
+
+    def __post_init__(self):
+        _check_minimums(self, unet_depth=2, unetpp_depth=1, base_channels=1, input_hw=1)
+        steps = max(self.unet_depth - 1, self.unetpp_depth)
+        if steps > _halvings(self.input_hw):
+            raise ValueError(
+                f"input_hw must halve evenly {steps} times for unet_depth {self.unet_depth} "
+                f"and unetpp_depth {self.unetpp_depth}, got {self.input_hw}"
+            )
+
+
+@dataclass(frozen=True)
+class NullHypothesisOptions:
+    """The seed of null_hypothesis' cache corruptions and the noise scales
+    it adds to the fixed 0 and 1."""
+
+    corruption_seed: int = 3
+    noise_scales: tuple[float, ...] = (0.5, 2.0)
+
+    def __post_init__(self):
+        _check_minimums(self, corruption_seed=0, noise_scales=0)
+
+
+@dataclass(frozen=True)
+class SuperresTradeoffOptions:
+    """superres_tradeoff's square reference size, the factors it downscales
+    by to its two network inputs, their network's parameters and the cached
+    rows' presets. Each downscaled size must halve evenly lr_pool times."""
+
+    reference_hw: int = 192
+    small_input_scale: int = 4
+    large_input_scale: int = 3
+    base_channels: int = 8
+    lr_pool: int = 2
+    policies: tuple[str, ...] = ("n5", "delta_h", "delta_l")
+
+    def __post_init__(self):
+        _check_minimums(
+            self, reference_hw=1, small_input_scale=1, large_input_scale=1, base_channels=1, lr_pool=0
+        )
+        _check_presets("policies", self.policies)
+        hw = self.reference_hw
+        for key in ("small_input_scale", "large_input_scale"):
+            scale = getattr(self, key)
+            if hw % scale or self.lr_pool > _halvings(hw // scale):
+                raise ValueError(
+                    f"reference_hw must divide by {key} {scale} into a size that halves "
+                    f"evenly lr_pool {self.lr_pool} times, got {hw}"
+                )
+
+
+@dataclass(frozen=True)
+class MemoryReportOptions:
+    """memory_report's cache entry shapes by workload label."""
+
+    entries: dict[str, tuple[tuple[int, ...], ...]] = field(default_factory=_MEMORY_DEFAULT_ENTRIES.copy)
+
+    def __post_init__(self):
+        for label, shapes in self.entries.items():
+            if any(dim < 0 for shape in shapes for dim in shape):
+                raise ValueError(f"entries: {label!r} has a negative dimension")
+
+
+@dataclass(frozen=True)
+class FeatureProfileOptions:
+    """feature_profile takes no options."""
+
+
+_OPTION_RECORDS = {
+    "policy_sweep": PolicySweepOptions,
+    "ablation_levels": AblationLevelsOptions,
+    "null_hypothesis": NullHypothesisOptions,
+    "superres_tradeoff": SuperresTradeoffOptions,
+    "memory_report": MemoryReportOptions,
+    "feature_profile": FeatureProfileOptions,
+}
+
+
+def _options(cfg: RunConfig, scenario: str):
+    """A scenario's options record, built from its section of options."""
+    return _construct(f"options.{scenario}", _OPTION_RECORDS[scenario], cfg.options.get(scenario, {}))
 
 
 def validate_run_config(cfg: RunConfig) -> None:
@@ -321,44 +429,9 @@ def validate_run_config(cfg: RunConfig) -> None:
         raise ValueError(f"frames must be an integer >= 1, got {cfg.frames!r}")
     if not (_is_int(cfg.warmup) and cfg.warmup >= 0):
         raise ValueError(f"warmup must be an integer >= 0, got {cfg.warmup!r}")
-    for key in _NETWORK_INT_FIELDS:
-        if key in cfg.network and not _is_int(cfg.network[key]):
-            raise ValueError(f"network.{key} must be an integer, got {cfg.network[key]!r}")
-    if "input_shape" in cfg.network:
-        shape = cfg.network["input_shape"]
-        if not (isinstance(shape, (list, tuple)) and len(shape) == 3 and all(map(_is_int, shape))):
-            raise ValueError(f"network.input_shape must be three integers, got {shape!r}")
-    preset = cfg.policy.get("preset", _DEFAULT_POLICY_PRESET)
-    if preset not in PRESETS:
-        raise ValueError(f"unknown policy preset {preset!r}; pick from {tuple(PRESETS)}")
     # A preset's policy class does not depend on the horizon.
-    policy = preset_policy(preset, 1)
-    fields = {f.name: f.type for f in dataclasses.fields(policy)}
-    overrides = {key: value for key, value in cfg.policy.items() if key != "preset"}
-    for key, value in overrides.items():
-        if key not in fields:
-            raise ValueError(
-                f"policy field {key!r} is not a field of {type(policy).__name__}; "
-                f"allowed: {list(fields)}"
-            )
-        if not _fits(value, fields[key]):
-            raise ValueError(f"policy.{key} must be {_type_name(fields[key])}, got {value!r}")
-    try:
-        dataclasses.replace(policy, **overrides)
-    except ValueError as err:
-        raise ValueError(f"policy: {err}") from None
-    scene_fields = {f.name: f.type for f in dataclasses.fields(SceneConfig)}
-    for key, value in cfg.scene.items():
-        if key not in scene_fields:
-            raise ValueError(
-                f"scene field {key!r} is not a field of SceneConfig; allowed: {list(scene_fields)}"
-            )
-        if not _fits(value, scene_fields[key]):
-            raise ValueError(f"scene.{key} must be {_type_name(scene_fields[key])}, got {value!r}")
-    try:
-        SceneConfig(**{"seed": cfg.seed, **cfg.scene})
-    except ValueError as err:
-        raise ValueError(f"scene: {err}") from None
+    _policy_from_config(cfg, 1, _DEFAULT_POLICY_PRESET)
+    _construct("scene", SceneConfig, cfg.scene, {"seed": cfg.seed})
     if cfg.cache is not None and not isinstance(cfg.cache, str):
         raise ValueError(f"cache must be null or a string, got {cfg.cache!r}")
     if not isinstance(cfg.out_dir, str):
@@ -368,70 +441,7 @@ def validate_run_config(cfg: RunConfig) -> None:
             raise ValueError(f"options key {name!r} is not a scenario name")
         if not isinstance(value, dict):
             raise ValueError(f"options.{name} must be a JSON object, got {value!r}")
-        _check_options(name, value)
-    _check_option_sizes(cfg)
-
-
-def _check_options(name: str, options: dict) -> None:
-    """Each key must be an option of the scenario and have its default's
-    JSON type and at least its _OPTION_MINIMUMS value; a list of policy
-    presets must name known presets, and a memory_report shape
-    non-negative dimensions."""
-    defaults = _OPTION_DEFAULTS[name]
-    for key, value in options.items():
-        if key not in defaults:
-            raise ValueError(f"options.{name} has no key {key!r}; allowed: {list(defaults)}")
-        if not _like(value, defaults[key]):
-            expected = _json_type(defaults[key])
-            raise ValueError(f"options.{name}.{key} must be a JSON {expected}, got {value!r}")
-        least = _OPTION_MINIMUMS.get((name, key))
-        if least is not None:
-            items = value if isinstance(value, list) else [value]
-            if not all(math.isfinite(item) and item >= least for item in items):
-                raise ValueError(f"options.{name}.{key} must be >= {least}, got {value!r}")
-        if (name, key) == ("memory_report", "entries"):
-            for label, shapes in value.items():
-                if any(dim < 0 for shape in shapes for dim in shape):
-                    raise ValueError(f"options.{name}.{key}: {label!r} has a negative dimension")
-        if (name, key) not in _PRESET_OPTIONS:
-            continue
-        unknown = [item for item in value if item not in PRESETS]
-        if unknown:
-            raise ValueError(
-                f"options.{name}.{key}: unknown policy presets {unknown}; pick from {tuple(PRESETS)}"
-            )
-
-
-def _halvings(size: int) -> int:
-    """How many times a positive size halves evenly."""
-    return (size & -size).bit_length() - 1
-
-
-def _check_option_sizes(cfg: RunConfig) -> None:
-    """The input sizes of ablation_levels and superres_tradeoff must halve
-    evenly as often as their networks pool, after superres_tradeoff's
-    downscale by each scale factor."""
-    opts = _options(cfg, "ablation_levels")
-    steps = max(opts["unet_depth"] - 1, opts["unetpp_depth"])
-    if steps > _halvings(opts["input_hw"]):
-        raise ValueError(
-            f"options.ablation_levels.input_hw must halve evenly {steps} times for "
-            f"unet_depth {opts['unet_depth']} and unetpp_depth {opts['unetpp_depth']}, "
-            f"got {opts['input_hw']}"
-        )
-    opts = _options(cfg, "superres_tradeoff")
-    hw, lr_pool = opts["reference_hw"], opts["lr_pool"]
-    for key in ("small_input_scale", "large_input_scale"):
-        if hw % opts[key] or lr_pool > _halvings(hw // opts[key]):
-            raise ValueError(
-                f"options.superres_tradeoff.reference_hw must divide by {key} {opts[key]} "
-                f"into a size that halves evenly lr_pool {lr_pool} times, got {hw}"
-            )
-
-
-def _tuples(value):
-    """A JSON array, nested ones included, as tuples."""
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+        _options(cfg, name)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
@@ -450,7 +460,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         elif not isinstance(kwargs[key], dict):
             raise ValueError(f"{key} must be a JSON object, got {kwargs[key]!r}")
     for key in ("network", "scene"):
-        kwargs[key] = {name: _tuples(value) for name, value in kwargs[key].items()}
+        kwargs[key] = _tuples(kwargs[key])
     cfg = RunConfig(**kwargs)
     validate_run_config(cfg)
     return cfg
@@ -467,16 +477,24 @@ def default_run_config(scenario: str = "all") -> RunConfig:
     return cfg
 
 
-def _options(cfg: RunConfig, scenario: str) -> dict:
-    return {**_OPTION_DEFAULTS[scenario], **cfg.options.get(scenario, {})}
-
-
 def _frame_count(cfg: RunConfig, scenario: str) -> int:
     return cfg.frames or _DEFAULT_FRAMES[scenario]
 
 
 def _network_params(cfg: RunConfig, scenario: str) -> dict:
-    return {"seed": cfg.seed, **_NETWORK_DEFAULTS[scenario], **cfg.network}
+    """The config's network section, then the scenario's builder
+    parameters for the keys it leaves out."""
+    defaults = {"seed": cfg.seed, **_NETWORK_DEFAULTS[scenario]}
+    return {**cfg.network, **{key: value for key, value in defaults.items() if key not in cfg.network}}
+
+
+def _build_network(cfg: RunConfig, scenario: str):
+    """The network of a scenario that reads the network section."""
+    params = _network_params(cfg, scenario)
+    kind = params.pop("kind")
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise ValueError(f"unknown network kind {kind!r}")
+    return _construct("network", _BUILDERS[kind], params)
 
 
 def _scene_shape(cfg: RunConfig, scenario: str) -> tuple[int, int, int]:
@@ -484,9 +502,9 @@ def _scene_shape(cfg: RunConfig, scenario: str) -> tuple[int, int, int]:
     input shape, ablation_levels' input_hw square, or the reference_hw
     square superres_tradeoff downscales to its networks' inputs."""
     if scenario == "ablation_levels":
-        hw = _options(cfg, scenario)["input_hw"]
+        hw = _options(cfg, scenario).input_hw
     elif scenario == "superres_tradeoff":
-        hw = _options(cfg, scenario)["reference_hw"]
+        hw = _options(cfg, scenario).reference_hw
     else:
         return tuple(_network_params(cfg, scenario)["input_shape"])
     return (6, hw, hw)
@@ -497,29 +515,20 @@ def _scene_config(cfg: RunConfig, scenario: str, **defaults) -> SceneConfig:
     overrides any field (run_scenarios lets it repeat the size only)."""
     channels, height, width = _scene_shape(cfg, scenario)
     size = {"channels": channels, "height": height, "width": width}
-    return SceneConfig(**{"seed": cfg.seed, **size, **defaults, **cfg.scene})
+    return _construct("scene", SceneConfig, cfg.scene, {"seed": cfg.seed, **size, **defaults})
 
 
-def _builder(params: dict):
-    """The builder a network dict ({"kind": ..., params...}) names, and its
-    keyword arguments."""
-    kwargs = dict(params)
-    kind = kwargs.pop("kind", "unet")
-    if not isinstance(kind, str) or kind not in _BUILDERS:
-        raise ValueError(f"unknown network kind {kind!r}")
-    return _BUILDERS[kind], kwargs
-
-
-def _build_network(params: dict):
-    build, kwargs = _builder(params)
-    return build(**kwargs)
-
-
-def _check_scenes(cfg: RunConfig, names) -> None:
-    """Each named scenario's frame count must exceed warmup where the
-    scenario scores its runs, and be at least 2 for feature_profile; a
-    scene size in the config must equal the scenario's _scene_shape."""
+def _check_selected(cfg: RunConfig, names) -> None:
+    """Before any named scenario runs: each one that reads the network
+    section builds its network; each frame count exceeds warmup where the
+    scenario scores its runs, and is at least 2 for feature_profile; a
+    scene size in the config equals the scenario's _scene_shape."""
     for name in names:
+        if name in _NETWORK_DEFAULTS:
+            try:
+                _build_network(cfg, name)
+            except ValueError as err:
+                raise ValueError(f"network for scenario {name}: {err}") from None
         if name not in _DEFAULT_FRAMES:
             continue
         frames = _frame_count(cfg, name)
@@ -537,17 +546,6 @@ def _check_scenes(cfg: RunConfig, names) -> None:
                 )
 
 
-def _check_network(cfg: RunConfig, names) -> None:
-    """The network section must fit the builder each named scenario calls."""
-    for name in names:
-        if name in _NETWORK_DEFAULTS:
-            build, kwargs = _builder(_network_params(cfg, name))
-            try:
-                inspect.signature(build).bind(**kwargs)
-            except TypeError as err:
-                raise ValueError(f"network for scenario {name}: {err}") from None
-
-
 def _apply_cache_label(spec, kind: str, label: str | None):
     if label is None:
         return spec
@@ -563,12 +561,14 @@ def _apply_cache_label(spec, kind: str, label: str | None):
 
 
 def _policy_from_config(cfg: RunConfig, horizon: int, default_preset: str):
+    """The policy section's preset on horizon, with its other keys as
+    field overrides."""
     preset = cfg.policy.get("preset", default_preset)
+    if not isinstance(preset, str) or preset not in PRESETS:
+        raise ValueError(f"unknown policy preset {preset!r}; pick from {tuple(PRESETS)}")
     policy = preset_policy(preset, horizon)
-    overrides = {k: v for k, v in cfg.policy.items() if k != "preset"}
-    if overrides:
-        policy = dataclasses.replace(policy, **overrides)
-    return policy
+    overrides = {key: value for key, value in cfg.policy.items() if key != "preset"}
+    return _construct("policy", type(policy), overrides, vars(policy))
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +646,10 @@ def scenario_policy_sweep(cfg: RunConfig) -> list[Table]:
     counts and quality against the no-cache baseline, one row per policy.
     """
     frames = _frame_count(cfg, "policy_sweep")
-    params = _network_params(cfg, "policy_sweep")
-    spec = _apply_cache_label(_build_network(params), params["kind"], cfg.cache)
+    kind = _network_params(cfg, "policy_sweep")["kind"]
+    spec = _apply_cache_label(_build_network(cfg, "policy_sweep"), kind, cfg.cache)
     scene = _scene_config(cfg, "policy_sweep", pan_speed=3.0, base_cell=8)
-    presets = _options(cfg, "policy_sweep")["presets"]
+    presets = _options(cfg, "policy_sweep").presets
     sequence = generate(scene, frames)
     memo = full_passes([spec], sequence)
     baseline = prepare_references(memo.outputs)
@@ -701,20 +701,17 @@ def scenario_ablation_levels(cfg: RunConfig) -> list[Table]:
     """
     frames = _frame_count(cfg, "ablation_levels")
     opts = _options(cfg, "ablation_levels")
-    unet_depth = opts["unet_depth"]
-    unetpp_depth = opts["unetpp_depth"]
-    base = opts["base_channels"]
-    hw = opts["input_hw"]
+    shape = (6, opts.input_hw, opts.input_hw)
     scene = _scene_config(cfg, "ablation_levels", pan_speed=0.75)
     sequence = generate(scene, frames)
     policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
 
-    unet = build_unet(unet_depth, base, (6, hw, hw), seed=cfg.seed)
-    unetpp = build_unetpp(unetpp_depth, base, (6, hw, hw), seed=cfg.seed)
-    unet_specs = [set_unet_level(unet, level) for level in range(1, unet_depth)]
+    unet = build_unet(opts.unet_depth, opts.base_channels, shape, seed=cfg.seed)
+    unetpp = build_unetpp(opts.unetpp_depth, opts.base_channels, shape, seed=cfg.seed)
+    unet_specs = [set_unet_level(unet, level) for level in range(1, opts.unet_depth)]
     unetpp_specs = [
         replace_cache_config(unetpp, config)
-        for config in (unetpp_config_b(unetpp_depth), unetpp_config_a(unetpp_depth))
+        for config in (unetpp_config_b(opts.unetpp_depth), unetpp_config_a(opts.unetpp_depth))
     ]
     variants = []
     for family, specs in (("unet", unet_specs), ("unetpp", unetpp_specs)):
@@ -779,10 +776,9 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     """
     frames = _frame_count(cfg, "null_hypothesis")
     opts = _options(cfg, "null_hypothesis")
-    spec = _build_network(_network_params(cfg, "null_hypothesis"))
+    spec = _build_network(cfg, "null_hypothesis")
     scene = _scene_config(cfg, "null_hypothesis", seed=21, pan_speed=0.4)
-    corruption_seed = opts["corruption_seed"]
-    noise_scales = opts["noise_scales"]
+    corruption_seed = opts.corruption_seed
     policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
     sequence = generate(scene, frames)
     memo = full_passes([spec], sequence)
@@ -795,7 +791,7 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     ]
     modes += [
         (f"noise_{scale:g}", Corruption("noise", sigma_scale=scale, seed=corruption_seed))
-        for scale in noise_scales
+        for scale in opts.noise_scales
     ]
     modes += [
         ("zero", Corruption("zero", seed=corruption_seed)),
@@ -895,12 +891,8 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     """
     frames = _frame_count(cfg, "superres_tradeoff")
     opts = _options(cfg, "superres_tradeoff")
-    reference_hw = opts["reference_hw"]
-    small_scale = opts["small_input_scale"]
-    large_scale = opts["large_input_scale"]
-    base = opts["base_channels"]
-    lr_pool = opts["lr_pool"]
-    cached_policies = opts["policies"]
+    small_scale = opts.small_input_scale
+    large_scale = opts.large_input_scale
 
     scene = _scene_config(cfg, "superres_tradeoff", pan_speed=3.0, base_cell=48)
     reference, (small_frames, large_frames) = _stream_reference(
@@ -908,8 +900,10 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     )
 
     def spec_for(scale: int):
-        hw = reference_hw // scale
-        return build_superres((6, hw, hw), base_channels=base, lr_pool=lr_pool, seed=cfg.seed)
+        hw = opts.reference_hw // scale
+        return build_superres(
+            (6, hw, hw), base_channels=opts.base_channels, lr_pool=opts.lr_pool, seed=cfg.seed
+        )
 
     small_spec, large_spec = spec_for(small_scale), spec_for(large_scale)
     _require(
@@ -973,7 +967,7 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     )
     summary_rows.append(summary)
     frame_rows += rows
-    for preset in cached_policies:
+    for preset in opts.policies:
         policy = preset_policy(preset, frames)
         summary, rows, _ = run_row(
             large_scale, large_spec, large_frames, f"scale{large_scale}_{preset}", policy, large_uncached
@@ -1018,7 +1012,7 @@ _MEMORY_EXPECTED_BYTES = {
 
 def scenario_memory_report(cfg: RunConfig) -> list[Table]:
     """Cache memory footprint per workload: 4 bytes per stored value."""
-    entries = _options(cfg, "memory_report")["entries"]
+    entries = _options(cfg, "memory_report").entries
     rows = []
     for label, shapes in entries.items():
         total = cache_bytes_report(
@@ -1027,7 +1021,7 @@ def scenario_memory_report(cfg: RunConfig) -> list[Table]:
         values = sum(int(np.prod(s)) for s in shapes)
         _require(total == 4 * values, "cache bytes must equal 4 per stored value", bytes=total, values=values)
         expected = _MEMORY_EXPECTED_BYTES.get(label)
-        if expected is not None and list(map(list, shapes)) == _MEMORY_DEFAULT_ENTRIES[label]:
+        if expected is not None and shapes == _MEMORY_DEFAULT_ENTRIES[label]:
             _require(total == expected, f"{label} must occupy {expected} bytes", bytes=total)
         rows.append((label, len(shapes), values, total))
     return [Table("memory_report_summary", ("workload", "entries", "values", "bytes"), rows)]
@@ -1036,7 +1030,7 @@ def scenario_memory_report(cfg: RunConfig) -> list[Table]:
 def scenario_feature_profile(cfg: RunConfig) -> list[Table]:
     """Per-depth feature drift (SMAPE against frame 0) on a panning scene."""
     frames = _frame_count(cfg, "feature_profile")
-    spec = _build_network(_network_params(cfg, "feature_profile"))
+    spec = _build_network(cfg, "feature_profile")
     scene = _scene_config(cfg, "feature_profile", pan_speed=1.0, base_cell=24)
     sequence = generate(scene, frames)
     profile = feature_delta_profile(spec, [frame.input for frame in sequence])
@@ -1068,6 +1062,7 @@ SCENARIOS = {
     "memory_report": scenario_memory_report,
     "feature_profile": scenario_feature_profile,
 }
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 def run_scenarios(cfg: RunConfig, out_dir=None, log=print) -> int:
@@ -1078,8 +1073,7 @@ def run_scenarios(cfg: RunConfig, out_dir=None, log=print) -> int:
     """
     validate_run_config(cfg)
     names = list(SCENARIO_NAMES) if cfg.scenario == "all" else [cfg.scenario]
-    _check_network(cfg, names)
-    _check_scenes(cfg, names)
+    _check_selected(cfg, names)
     destination = Path(out_dir if out_dir is not None else cfg.out_dir)
     status = 0
     for name in names:

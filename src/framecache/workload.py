@@ -62,7 +62,7 @@ class SceneConfig:
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
         if self.height < 1 or self.width < 1:
-            raise ValueError("resolution must be positive")
+            raise ValueError(f"resolution must be positive, got height {self.height}, width {self.width}")
         if self.texture_octaves < 1:
             raise ValueError("texture_octaves must be >= 1")
         if self.sprite_count < 0:

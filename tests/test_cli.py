@@ -1,4 +1,5 @@
-"""End-to-end tests of the command line through real subprocesses."""
+"""End-to-end tests of the command line, most through real subprocesses;
+the table of rejected config fields calls cli.main in-process."""
 
 import hashlib
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from framecache import cli
 from framecache.cli import _THREAD_ENV_VARS
 
 MODULE = [sys.executable, "-m", "framecache.cli"]
@@ -246,14 +248,21 @@ class TestErrorHandling:
                 {"scene": {"height": 48, "width": 48}, "options": {"ablation_levels": {"input_hw": 32}}},
                 "scene.height must be 32 to fit the network of scenario ablation_levels",
             ),
+            ({"network": {"depth": 1}}, "network for scenario policy_sweep"),
+            ({"network": {"base_channels": 0}}, "network for scenario policy_sweep"),
         ],
     )
-    def test_bad_field_rejected_before_any_scenario(self, tmp_path, fields, named):
+    def test_bad_field_rejected_before_any_scenario(self, tmp_path, capsys, monkeypatch, fields, named):
+        # main pins the thread variables with setdefault; setting them here
+        # lets monkeypatch restore them, so no value leaks into later tests.
+        for name in _THREAD_ENV_VARS:
+            monkeypatch.setenv(name, os.environ.get(name, "1"))
         config = write_config(tmp_path, **fields)
         out_dir = tmp_path / "out"
-        result = run_cli("run", "--config", str(config), "--scenario", "all", "--out", str(out_dir))
-        assert result.returncode == 2
-        assert result.stderr.count("\n") == 1 and named in result.stderr
+        status = cli.main(["run", "--config", str(config), "--scenario", "all", "--out", str(out_dir)])
+        stderr = capsys.readouterr().err
+        assert status == 2
+        assert stderr.count("\n") == 1 and named in stderr
         assert not out_dir.exists()
 
     def test_non_object_config_rejected(self, tmp_path):

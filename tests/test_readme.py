@@ -1,10 +1,14 @@
 """The README's Example section and example config run against the
-current library API and command line."""
+current library API and command line, and its code references name what
+the package defines."""
 
+import ast
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from test_source_hygiene import PACKAGE, defined_names
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +38,19 @@ def test_readme_config_runs(tmp_path):
         "policy_sweep_frames.csv",
         "policy_sweep_summary.csv",
     ]
+
+
+def test_readme_code_references_exist():
+    # Every `<module>.<name>` (or `framecache.<module>.<name>`) in the README
+    # must name something that framecache module defines; the module is
+    # read with ast, as test_source_hygiene reads it.
+    modules = {path.stem: path for path in PACKAGE.glob("*.py")}
+    references = re.findall(r"`(?:framecache\.)?(\w+)\.(\w+)", README.read_text())
+    checked = [(module, name) for module, name in references if module in modules]
+    assert checked
+    missing = [
+        f"{module}.{name}"
+        for module, name in checked
+        if name not in defined_names(ast.parse(modules[module].read_text()))
+    ]
+    assert not missing, f"README names what its modules do not define: {missing}"
