@@ -25,7 +25,6 @@ import dataclasses
 import inspect
 import json
 import math
-import re
 import types
 import typing
 from dataclasses import dataclass, field
@@ -110,32 +109,18 @@ class Table:
         return [row[idx] for row in self.rows]
 
 
-def _csv_cell(value) -> str:
-    # repr of a float round-trips exactly, so CSV readers can recompute
-    # summary statistics bit-identically.
+def _cell(value, float_text) -> str:
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
-
-
-def _text_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    if value is None:
-        return ""
-    return str(value)
+        return float_text(value)
+    return "" if value is None else str(value)
 
 
 def format_table(table: Table) -> str:
     """Render a table as aligned monospace text."""
     cells = [list(table.header)]
-    cells += [[_text_cell(v) for v in row] for row in table.rows]
+    cells += [[_cell(v, "{:.6g}".format) for v in row] for row in table.rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(table.header))]
     lines = [table.name]
     for j, row in enumerate(cells):
@@ -155,8 +140,10 @@ def write_tables(tables: list[Table], out_dir) -> list[Path]:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(table.header)
+            # repr of a float round-trips exactly, so CSV readers can
+            # recompute summary statistics bit-identically.
             for row in table.rows:
-                writer.writerow([_csv_cell(v) for v in row])
+                writer.writerow([_cell(v, repr) for v in row])
         txt_path = out / f"{table.name}.txt"
         txt_path.write_text(format_table(table))
         written += [csv_path, txt_path]
@@ -266,12 +253,9 @@ def _tuples(value):
     return value
 
 
-def _construct(section: str, constructor, values: dict, defaults: dict | None = None):
-    """constructor(**defaults, **values), each of values checked first: its
-    key must be a parameter of constructor, and its value, JSON arrays as
-    tuples, must fit that parameter's annotation. Each message names the
-    config section; a ValueError of the constructor is joined to it with
-    "." when its message starts with a parameter name, else with ": "."""
+def _checked(section: str, constructor, values: dict) -> dict:
+    """values with JSON arrays as tuples, each key a parameter of
+    constructor and each value fitting that parameter's annotation."""
     params = inspect.signature(constructor, eval_str=True).parameters
     checked = {}
     for key, value in values.items():
@@ -284,11 +268,17 @@ def _construct(section: str, constructor, values: dict, defaults: dict | None = 
         kind = params[key].annotation
         if not _fits(value, kind):
             raise ValueError(f"{section}.{key} must be {_type_name(kind)}, got {value!r}")
+    return checked
+
+
+def _construct(section: str, constructor, values: dict, defaults: dict | None = None):
+    """constructor(**defaults, **values), values checked first by _checked;
+    a ValueError of the constructor is re-raised naming the section."""
+    checked = _checked(section, constructor, values)
     try:
         return constructor(**{**(defaults or {}), **checked})
     except ValueError as err:
-        joint = "." if re.match(r"\w*", str(err))[0] in params else ": "
-        raise ValueError(f"{section}{joint}{err}") from None
+        raise ValueError(f"{section}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +422,7 @@ def validate_run_config(cfg: RunConfig) -> None:
     # A preset's policy class does not depend on the horizon.
     _policy_from_config(cfg, 1, _DEFAULT_POLICY_PRESET)
     _construct("scene", SceneConfig, cfg.scene, {"seed": cfg.seed})
+    _check_network_values(cfg.network)
     if cfg.cache is not None and not isinstance(cfg.cache, str):
         raise ValueError(f"cache must be null or a string, got {cfg.cache!r}")
     if not isinstance(cfg.out_dir, str):
@@ -488,13 +479,24 @@ def _network_params(cfg: RunConfig, scenario: str) -> dict:
     return {**cfg.network, **{key: value for key, value in defaults.items() if key not in cfg.network}}
 
 
+def _check_network_values(network: dict) -> None:
+    """Each network value must fit its key's annotation in every builder
+    that takes the key, or in the one kind names, whichever scenarios run;
+    run_scenarios builds the selected scenarios' networks."""
+    values = dict(network)
+    kind = values.pop("kind", None)
+    if "kind" in network and (not isinstance(kind, str) or kind not in _BUILDERS):
+        raise ValueError(f"unknown network kind {kind!r}")
+    for name, build in _BUILDERS.items():
+        if kind in (None, name):
+            params = inspect.signature(build).parameters
+            _checked("network", build, {key: value for key, value in values.items() if key in params})
+
+
 def _build_network(cfg: RunConfig, scenario: str):
     """The network of a scenario that reads the network section."""
     params = _network_params(cfg, scenario)
-    kind = params.pop("kind")
-    if not isinstance(kind, str) or kind not in _BUILDERS:
-        raise ValueError(f"unknown network kind {kind!r}")
-    return _construct("network", _BUILDERS[kind], params)
+    return _construct("network", _BUILDERS[params.pop("kind")], params)
 
 
 def _scene_shape(cfg: RunConfig, scenario: str) -> tuple[int, int, int]:

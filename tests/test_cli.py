@@ -213,30 +213,30 @@ class TestErrorHandling:
             ({"options": {"null_hypothesis": {"noise_scales": [0.5, "2"]}}}, "noise_scales"),
             ({"options": {"ablation_levels": {"unet_dpth": 3}}}, "'unet_dpth'"),
             ({"options": {"memory_report": {"entries": {"a": 5}}}}, "options.memory_report.entries"),
-            ({"options": {"memory_report": {"entries": {"a": [[2, -3]]}}}}, "options.memory_report.entries"),
+            ({"options": {"memory_report": {"entries": {"a": [[2, -3]]}}}}, "options.memory_report: entries"),
             (
                 {"frames": 4, "options": {"null_hypothesis": {"corruption_seed": -1}}},
-                "options.null_hypothesis.corruption_seed",
+                "options.null_hypothesis: corruption_seed",
             ),
             (
                 {"frames": 4, "options": {"null_hypothesis": {"noise_scales": [-1.0]}}},
-                "options.null_hypothesis.noise_scales",
+                "options.null_hypothesis: noise_scales",
             ),
             (
                 {"frames": 4, "options": {"ablation_levels": {"input_hw": 0}}},
-                "options.ablation_levels.input_hw",
+                "options.ablation_levels: input_hw",
             ),
             (
                 {"frames": 4, "options": {"ablation_levels": {"input_hw": 36}}},
-                "options.ablation_levels.input_hw",
+                "options.ablation_levels: input_hw",
             ),
             (
                 {"frames": 4, "options": {"superres_tradeoff": {"small_input_scale": 0}}},
-                "options.superres_tradeoff.small_input_scale",
+                "options.superres_tradeoff: small_input_scale",
             ),
             (
                 {"frames": 4, "options": {"superres_tradeoff": {"reference_hw": 100}}},
-                "options.superres_tradeoff.reference_hw",
+                "options.superres_tradeoff: reference_hw",
             ),
             ({"frames": 1}, "frames must be >= 2 for scenario feature_profile"),
             ({"warmup": 30}, "warmup must be less than the 10 frames of scenario policy_sweep"),
@@ -263,6 +263,20 @@ class TestErrorHandling:
         stderr = capsys.readouterr().err
         assert status == 2
         assert stderr.count("\n") == 1 and named in stderr
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("scenario", ["memory_report", "ablation_levels"])
+    def test_network_value_type_checked_whichever_scenario_runs(self, tmp_path, capsys, monkeypatch, scenario):
+        # Neither scenario builds a network; the value still fails the
+        # annotation of every builder that takes depth.
+        for name in _THREAD_ENV_VARS:
+            monkeypatch.setenv(name, os.environ.get(name, "1"))
+        config = write_config(tmp_path, network={"depth": "x"})
+        out_dir = tmp_path / "out"
+        status = cli.main(["run", "--config", str(config), "--scenario", scenario, "--out", str(out_dir)])
+        stderr = capsys.readouterr().err
+        assert status == 2
+        assert stderr.count("\n") == 1 and "network.depth" in stderr
         assert not out_dir.exists()
 
     def test_non_object_config_rejected(self, tmp_path):

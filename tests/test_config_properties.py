@@ -2,14 +2,15 @@
 
 A valid config with one field set to a value of the wrong type or out of
 range exits 2 before any scenario runs, with one stderr line that names
-the field's section and key, and writes no table. A config drawn from
-in-range values runs to the end, passing (0) or failing a scenario check
-(1).
+the field's section and its key as a whole word, and writes no table. A
+config drawn from in-range values runs to the end, passing (0) or failing
+a scenario check (1).
 """
 
 import json
 import math
 import os
+import re
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -195,7 +196,8 @@ def test_invalid_field_exits_2_naming_it(field, tmp_path_factory, capsys, monkey
     status, stderr = run_main(config_with(section, others, key, value), "all", directory, capsys, monkeypatch)
     assert status == 2, stderr
     assert stderr.count("\n") == 1
-    assert section in stderr and key in stderr, stderr
+    # The key as a whole word: "n" must not pass on "network" or "n5".
+    assert section in stderr and re.search(rf"(?<!\w){re.escape(key)}(?!\w)", stderr), stderr
     assert not (directory / "out").exists()
 
 
