@@ -388,6 +388,12 @@ class MemoryReportOptions:
         for label, shapes in self.entries.items():
             if any(dim < 0 for shape in shapes for dim in shape):
                 raise ValueError(f"entries: {label!r} has a negative dimension")
+            for shape in shapes:
+                if math.prod(shape) > np.iinfo(np.intp).max:
+                    raise ValueError(
+                        f"entries: {label!r} shape {shape} has {math.prod(shape)} values, "
+                        f"more than an intp counts ({np.iinfo(np.intp).max})"
+                    )
 
 
 @dataclass(frozen=True)
@@ -423,8 +429,7 @@ def validate_run_config(cfg: RunConfig) -> None:
     _policy_from_config(cfg, 1, _DEFAULT_POLICY_PRESET)
     _construct("scene", SceneConfig, cfg.scene, {"seed": cfg.seed})
     _check_network_values(cfg.network)
-    if cfg.cache is not None and not isinstance(cfg.cache, str):
-        raise ValueError(f"cache must be null or a string, got {cfg.cache!r}")
+    _check_cache(cfg)
     if not isinstance(cfg.out_dir, str):
         raise ValueError(f"out_dir must be a string, got {cfg.out_dir!r}")
     for name, value in cfg.options.items():
@@ -496,7 +501,7 @@ def _check_network_values(network: dict) -> None:
 def _build_network(cfg: RunConfig, scenario: str):
     """The network of a scenario that reads the network section."""
     params = _network_params(cfg, scenario)
-    return _construct("network", _BUILDERS[params.pop("kind")], params)
+    return _construct(f"network for scenario {scenario}", _BUILDERS[params.pop("kind")], params)
 
 
 def _scene_shape(cfg: RunConfig, scenario: str) -> tuple[int, int, int]:
@@ -527,10 +532,7 @@ def _check_selected(cfg: RunConfig, names) -> None:
     scene size in the config equals the scenario's _scene_shape."""
     for name in names:
         if name in _NETWORK_DEFAULTS:
-            try:
-                _build_network(cfg, name)
-            except ValueError as err:
-                raise ValueError(f"network for scenario {name}: {err}") from None
+            _build_network(cfg, name)
         if name not in _DEFAULT_FRAMES:
             continue
         frames = _frame_count(cfg, name)
@@ -548,18 +550,42 @@ def _check_selected(cfg: RunConfig, names) -> None:
                 )
 
 
+def _cache_labels(kind: str, depth: int) -> tuple[str, ...]:
+    """The cache labels _apply_cache_label accepts for a network kind and
+    build depth."""
+    if kind == "unet":
+        return tuple(f"unet_level_{level}" for level in range(1, depth))
+    if kind == "unetpp":
+        return ("unetpp_config_a", "unetpp_config_b")
+    return ()
+
+
+def _check_cache(cfg: RunConfig) -> None:
+    """cache is null or a label of policy_sweep's network, the one network
+    it applies to."""
+    if cfg.cache is None:
+        return
+    if not isinstance(cfg.cache, str):
+        raise ValueError(f"cache must be null or a string, got {cfg.cache!r}")
+    params = _network_params(cfg, "policy_sweep")
+    labels = _cache_labels(params["kind"], params["depth"])
+    if cfg.cache not in labels:
+        raise ValueError(
+            f"cache must be one of {list(labels)} for the {params['kind']} network of scenario "
+            f"policy_sweep, got {cfg.cache!r}"
+        )
+
+
 def _apply_cache_label(spec, kind: str, label: str | None):
+    """spec under a label of _cache_labels, which _check_cache checked."""
     if label is None:
         return spec
-    if kind == "unet" and label.startswith("unet_level_"):
+    if kind == "unet":
         return set_unet_level(spec, int(label.rsplit("_", 1)[1]))
     # In the U-Net++ grid the deepest row index equals the build depth.
     depth = max(b.ident.depth for b in spec.blocks.values())
-    if kind == "unetpp" and label == "unetpp_config_a":
-        return replace_cache_config(spec, unetpp_config_a(depth))
-    if kind == "unetpp" and label == "unetpp_config_b":
-        return replace_cache_config(spec, unetpp_config_b(depth))
-    raise ValueError(f"unknown cache label {label!r} for network kind {kind!r}")
+    config = unetpp_config_a if label == "unetpp_config_a" else unetpp_config_b
+    return replace_cache_config(spec, config(depth))
 
 
 def _policy_from_config(cfg: RunConfig, horizon: int, default_preset: str):
@@ -1017,10 +1043,12 @@ def scenario_memory_report(cfg: RunConfig) -> list[Table]:
     entries = _options(cfg, "memory_report").entries
     rows = []
     for label, shapes in entries.items():
+        # Read-only broadcasts of one float32 have each shape's size and
+        # allocate nothing, however large the shape.
         total = cache_bytes_report(
-            {f"entry_{i}": np.zeros(tuple(s), dtype=np.float32) for i, s in enumerate(shapes)}
+            {f"entry_{i}": np.broadcast_to(np.float32(0), s) for i, s in enumerate(shapes)}
         )
-        values = sum(int(np.prod(s)) for s in shapes)
+        values = sum(math.prod(s) for s in shapes)
         _require(total == 4 * values, "cache bytes must equal 4 per stored value", bytes=total, values=values)
         expected = _MEMORY_EXPECTED_BYTES.get(label)
         if expected is not None and shapes == _MEMORY_DEFAULT_ENTRIES[label]:

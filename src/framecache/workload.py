@@ -8,12 +8,20 @@ requested channel count; all channels live in [0, 1]. Everything derives
 from integer hashes and a seeded PCG stream, so a (config) pair yields
 bit-identical sequences on every run and platform.
 
+Frames are made one bounded chunk at a time. A pan resamples the same
+columns (or rows) frame after frame, so a chunk's noise is evaluated once
+on the grid of its frames' distinct sample xs and ys, and each frame's
+planes are gathered from that grid. A chunk grows while its grid has no
+more points than its frames have pixels and its noise planes fit in
+_CHUNK_BYTES, so a caller holds what it keeps plus at most one chunk's
+working set.
+
 The noise is evaluated per lattice cell, not per pixel: each lattice point
-a frame touches is hashed once, x is interpolated along the lattice rows
+a grid touches is hashed once, x is interpolated along the lattice rows
 and y on the pixel grid, and the texture planes that share an octave
 count and base cell go through numpy together. Every lerp has the same
-float64 operands as a per-pixel evaluation of the four cell corners, so
-the frames are the same bit for bit.
+float64 operands as a per-pixel evaluation of the four cell corners of
+each frame's own pixels, so the frames are the same bit for bit.
 """
 
 import math
@@ -33,6 +41,10 @@ __all__ = [
 ]
 
 _GRAD_SCALE = 8.0
+
+# Bytes of float64 noise planes one chunk of frames evaluates at a time;
+# _fbm's temporaries are a small multiple of it.
+_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -187,24 +199,75 @@ def _depth_field(xs, ys, seed: int, base_cell: int) -> np.ndarray:
     return _fbm(xs, ys, [seed + 104729], octaves=1, base_cell=base_cell * 2)[0]
 
 
-def _frame_channels(config: SceneConfig, offset_x: float, offset_y: float) -> np.ndarray:
-    ys = np.arange(config.height, dtype=np.float64) + offset_y
-    xs = np.arange(config.width, dtype=np.float64) + offset_x
-    colours = min(3, config.channels)
-    texture_salts = [config.seed + 13 * c for c in range(colours)]
-    texture_salts += [config.seed + 977 * c for c in range(6, config.channels)]
+def _texture_salts(config: SceneConfig) -> list[int]:
+    """One salt per texture plane: the colour planes, then the extra
+    noise planes past the six fixed channels."""
+    salts = [config.seed + 13 * c for c in range(min(3, config.channels))]
+    return salts + [config.seed + 977 * c for c in range(6, config.channels)]
+
+
+def _chunks(config: SceneConfig, coords: Iterator) -> Iterator[list]:
+    """Group frames, given in order as (xs, ys) sample coordinates, into
+    runs whose noise is evaluated together.
+
+    A run grows while its grid of distinct xs by distinct ys has no more
+    points than its frames have pixels, so it never evaluates more noise
+    than frame by frame, and while that grid's noise planes fit in
+    _CHUNK_BYTES of float64. A pan that resamples the same columns (or
+    rows) grows long runs; one that samples new columns and rows every
+    frame, such as most diagonal pans, gets one frame per run.
+    """
+    planes = len(_texture_salts(config)) + (config.channels >= 4)
+    pixels = config.height * config.width
+    chunk, seen_x, seen_y = [], set(), set()
+    for xs, ys in coords:
+        new_x = set(xs.tolist()).difference(seen_x)
+        new_y = set(ys.tolist()).difference(seen_y)
+        points = (len(seen_x) + len(new_x)) * (len(seen_y) + len(new_y))
+        if chunk and (points > (len(chunk) + 1) * pixels or 8 * planes * points > _CHUNK_BYTES):
+            yield chunk
+            chunk, seen_x, seen_y = [], set(), set()
+            new_x, new_y = set(xs.tolist()), set(ys.tolist())
+        chunk.append((xs, ys))
+        seen_x |= new_x
+        seen_y |= new_y
+    yield chunk
+
+
+def _chunk_planes(config: SceneConfig, coords: list) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Each frame's (texture, depth) noise planes, for frames given as
+    (xs, ys) sample coordinates; depth is None below 4 channels.
+
+    The noise is evaluated once on the grid of the frames' distinct xs and
+    ys and gathered per frame. Each noise value is an elementwise function
+    of its own float64 (x, y), so the frames are the same bit for bit as
+    when each is evaluated on its own.
+    """
+    grid_x, x_index = np.unique(np.concatenate([xs for xs, _ in coords]), return_inverse=True)
+    grid_y, y_index = np.unique(np.concatenate([ys for _, ys in coords]), return_inverse=True)
     # Squaring spreads the octave-averaged noise (which clusters near 0.5)
     # over [0, 1] with mass near 0, so relative frame deltas are large
     # enough for SMAPE thresholds in the 0.2 range to matter.
     texture = (
-        _fbm(xs, ys, texture_salts, octaves=config.texture_octaves, base_cell=config.base_cell)
+        _fbm(grid_x, grid_y, _texture_salts(config), octaves=config.texture_octaves,
+             base_cell=config.base_cell)
         ** 2
     )
+    depth = _depth_field(grid_x, grid_y, config.seed, config.base_cell) if config.channels >= 4 else None
+    frames = len(coords)
+    for cols, rows in zip(x_index.reshape(frames, -1), y_index.reshape(frames, -1)):
+        at = np.ix_(rows, cols)
+        yield texture[(slice(None),) + at], None if depth is None else depth[at]
+
+
+def _stack_channels(config: SceneConfig, texture: np.ndarray, depth: np.ndarray | None) -> np.ndarray:
+    """A frame's channels from its noise planes: colour, depth, the depth
+    gradients, then the extra texture planes, as float32."""
+    colours = min(3, config.channels)
     planes = list(texture[:colours])
     if config.channels >= 4:
-        planes.append(_depth_field(xs, ys, config.seed, config.base_cell))
+        planes.append(depth)
     if config.channels >= 5:
-        depth = planes[3]
         gx = np.zeros_like(depth)
         gy = np.zeros_like(depth)
         gx[:, 1:-1] = 0.5 * (depth[:, 2:] - depth[:, :-2])
@@ -284,9 +347,11 @@ def iter_frames(config: SceneConfig, frame_count: int) -> Iterator[FrameInput]:
 
     The camera advances by the frame's scheduled speed along pan_direction
     each frame; the stored motion field is that exact displacement (sprite
-    pixels report the sprite's velocity instead). Frames are made one at a
-    time, so a caller that keeps only part of each frame holds only that.
-    frame_count is checked when this is called, not on the first frame.
+    pixels report the sprite's velocity instead). Frames are made one
+    chunk at a time (see the module docstring), so a caller that keeps
+    only part of each frame holds only that plus at most one chunk's noise
+    planes. frame_count is checked when this is called, not on the first
+    frame.
     """
     if frame_count < 1:
         raise ValueError("frame_count must be >= 1")
@@ -299,18 +364,29 @@ def _frames(config: SceneConfig, frame_count: int) -> Iterator[FrameInput]:
     dir_y = config.pan_direction[1] / norm
     speeds = _per_frame_speeds(config, frame_count)
     sprites = _make_sprites(config)
-    offset_x = 0.0
-    offset_y = 0.0
-    for index in range(frame_count):
-        if index > 0:
-            offset_x += speeds[index] * dir_x
-            offset_y += speeds[index] * dir_y
-        channels = _frame_channels(config, offset_x, offset_y)
-        motion = np.empty((2, config.height, config.width), dtype=np.float32)
-        motion[0] = speeds[index] * dir_x
-        motion[1] = speeds[index] * dir_y
-        _apply_sprites(config, sprites, index, channels, motion)
-        yield FrameInput(index=index, input=tensor(channels), motion=motion)
+
+    def coords():
+        offset_x = 0.0
+        offset_y = 0.0
+        for index in range(frame_count):
+            if index > 0:
+                offset_x += speeds[index] * dir_x
+                offset_y += speeds[index] * dir_y
+            yield (
+                np.arange(config.width, dtype=np.float64) + offset_x,
+                np.arange(config.height, dtype=np.float64) + offset_y,
+            )
+
+    index = 0
+    for chunk in _chunks(config, coords()):
+        for planes in _chunk_planes(config, chunk):
+            channels = _stack_channels(config, *planes)
+            motion = np.empty((2, config.height, config.width), dtype=np.float32)
+            motion[0] = speeds[index] * dir_x
+            motion[1] = speeds[index] * dir_y
+            _apply_sprites(config, sprites, index, channels, motion)
+            yield FrameInput(index=index, input=tensor(channels), motion=motion)
+            index += 1
 
 
 def generate(config: SceneConfig, frame_count: int) -> FrameSequence:

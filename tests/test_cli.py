@@ -250,6 +250,20 @@ class TestErrorHandling:
             ),
             ({"network": {"depth": 1}}, "network for scenario policy_sweep"),
             ({"network": {"base_channels": 0}}, "network for scenario policy_sweep"),
+            (
+                {"network": {"base_channels": 0}},
+                "framecache: network for scenario policy_sweep: base_channels must be >= 1",
+            ),
+            (
+                {"cache": "unet_level_9"},
+                "cache must be one of ['unet_level_1', 'unet_level_2'] for the unet network of "
+                "scenario policy_sweep, got 'unet_level_9'",
+            ),
+            ({"network": {"kind": "unetpp"}, "cache": "unet_level_1"}, "cache must be one of"),
+            (
+                {"options": {"memory_report": {"entries": {"big": [[2**40, 2**40]]}}}},
+                "options.memory_report: entries: 'big' shape (1099511627776, 1099511627776) has",
+            ),
         ],
     )
     def test_bad_field_rejected_before_any_scenario(self, tmp_path, capsys, monkeypatch, fields, named):

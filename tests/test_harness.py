@@ -229,6 +229,15 @@ class TestMemoryReportScenario:
         table = scenario_memory_report(cfg)[0]
         assert table.rows == [("tiny", 1, 24, 96)]
 
+    def test_counts_shapes_too_large_to_allocate(self):
+        # 4e15 bytes: the count must come from the shape, not an array.
+        cfg = minimal_config(
+            scenario="memory_report",
+            options={"memory_report": {"entries": {"big": [[1000000, 1000000, 1000]]}}},
+        )
+        table = scenario_memory_report(cfg)[0]
+        assert table.rows == [("big", 1, 10**15, 4 * 10**15)]
+
 
 class TestFeatureProfileScenario:
     """Per-depth drift curves."""
@@ -350,6 +359,31 @@ class TestPolicySweepScenario:
         summary = scenario_policy_sweep(cfg)[0]
         assert summary.column("policy") == ["n5", "n2"]
         assert summary.column("refresh_count") == [2, 3]
+
+    @pytest.mark.parametrize(
+        "network, cache",
+        [
+            ({}, "unet_level_1"),
+            ({}, "unet_level_2"),
+            ({"kind": "unetpp"}, "unetpp_config_a"),
+            ({"kind": "unetpp"}, "unetpp_config_b"),
+        ],
+    )
+    def test_accepted_cache_labels_are_applied(self, monkeypatch, network, cache):
+        labels = []
+        full_passes = harness.full_passes
+
+        def recording_full_passes(specs, sequence):
+            labels.append(specs[0].cache_config.label)
+            return full_passes(specs, sequence)
+
+        monkeypatch.setattr(harness, "full_passes", recording_full_passes)
+        cfg = minimal_config(
+            scenario="policy_sweep", frames=5, network=network, cache=cache,
+            options={"policy_sweep": {"presets": ["n5"]}},
+        )
+        assert scenario_policy_sweep(cfg)[0].column("refresh_count") == [1]
+        assert labels == [cache]
 
 
 class TestFailedChecksReportTheirNumbers:

@@ -9,6 +9,7 @@ The _seed_* functions keep the first generator's per-pixel noise formula
 generator must reproduce its frames bit for bit.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -115,13 +116,39 @@ def _seed_frame_channels(config: SceneConfig, offset_x: float, offset_y: float) 
     return np.stack(planes[: config.channels]).astype(np.float32)
 
 
+def seed_generator_frames(config, frame_count):
+    """(channels, motion) of each frame, made frame by frame with the
+    per-pixel _seed_frame_channels; camera offsets, motion and sprites as
+    the generator applies them."""
+    norm = float(np.hypot(*config.pan_direction))
+    dir_x = config.pan_direction[0] / norm
+    dir_y = config.pan_direction[1] / norm
+    speeds = workload._per_frame_speeds(config, frame_count)
+    sprites = workload._make_sprites(config)
+    frames = []
+    offset_x = 0.0
+    offset_y = 0.0
+    for index in range(frame_count):
+        if index > 0:
+            offset_x += speeds[index] * dir_x
+            offset_y += speeds[index] * dir_y
+        channels = _seed_frame_channels(config, offset_x, offset_y)
+        motion = np.empty((2, config.height, config.width), dtype=np.float32)
+        motion[0] = speeds[index] * dir_x
+        motion[1] = speeds[index] * dir_y
+        workload._apply_sprites(config, sprites, index, channels, motion)
+        frames.append((channels, motion))
+    return frames
+
+
 def assert_matches_seed_generator(config, frame_count):
     frames = generate(config, frame_count).frames
-    with mock.patch.object(workload, "_frame_channels", _seed_frame_channels):
-        expected = generate(config, frame_count).frames
-    for frame, reference in zip(frames, expected, strict=True):
-        assert frame.input.tobytes() == reference.input.tobytes()
-        assert frame.motion.tobytes() == reference.motion.tobytes()
+    with mock.patch(f"{__name__}._seed_frame_channels", wraps=_seed_frame_channels) as seed:
+        expected = seed_generator_frames(config, frame_count)
+    assert seed.call_count == frame_count
+    for frame, (channels, motion) in zip(frames, expected, strict=True):
+        assert frame.input.tobytes() == channels.tobytes()
+        assert frame.motion.tobytes() == motion.tobytes()
 
 
 @st.composite
@@ -182,6 +209,34 @@ class TestIterFrames:
     def test_frame_count_checked_on_call(self):
         with pytest.raises(ValueError, match="frame_count"):
             iter_frames(SceneConfig(seed=0), 0)
+
+
+class TestChunks:
+    """Frames are the same bytes wherever the chunks of the scene end."""
+
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(
+        scene_configs(),
+        st.sampled_from([None, (1.0, 0.0), (0.0, -1.0)]),
+        st.integers(1, 12),
+        st.integers(1, 3),
+    )
+    def test_small_chunks_match_seed_generator(self, config, axis, frame_count, frames_per_budget):
+        # A budget of one to three frames' noise planes ends a chunk every
+        # one to three frames on a pan along an axis that samples new
+        # columns each frame, and every frame on most diagonal pans.
+        if axis is not None:
+            config = dataclasses.replace(config, pan_direction=axis)
+        planes = len(workload._texture_salts(config)) + (config.channels >= 4)
+        budget = 8 * planes * config.height * config.width * frames_per_budget
+        with mock.patch.object(workload, "_CHUNK_BYTES", budget):
+            assert_matches_seed_generator(config, frame_count)
+            streamed = list(iter_frames(config, frame_count))
+        expected = generate(config, frame_count).frames
+        for frame, reference in zip(streamed, expected, strict=True):
+            assert frame.index == reference.index
+            assert frame.input.tobytes() == reference.input.tobytes()
+            assert frame.motion.tobytes() == reference.motion.tobytes()
 
 
 class TestFrameLayout:
@@ -356,23 +411,39 @@ class TestMatchesSeedGenerator:
 
     def test_lattice_stays_within_twice_the_frame(self):
         # At 2**13 / 2 lattice cells per pixel a min..max lattice range
-        # would span ~65k points per axis; only touched points are hashed.
-        shapes = []
-        hash01 = workload._hash01
+        # would span ~65k points per axis; only touched points are hashed:
+        # at most two per distinct coordinate of the chunk's grid, in one
+        # _hash01 call per octave and plane group.
+        calls, chunks = [], []
+        value_noise, hash01, chunk_planes = workload._value_noise, workload._hash01, workload._chunk_planes
+
+        def recording_value_noise(xs, ys, salts):
+            calls.append([np.unique(xs).size, np.unique(ys).size])
+            return value_noise(xs, ys, salts)
 
         def recording_hash01(ix, iy, salts):
-            values = hash01(ix, iy, salts)
-            shapes.append(values.shape)
-            return values
+            calls[-1] += [ix.size, iy.size]
+            return hash01(ix, iy, salts)
+
+        def recording_chunk_planes(config, coords):
+            chunks.append(len(coords))
+            return chunk_planes(config, coords)
 
         config = SceneConfig(
             seed=3, channels=8, height=16, width=16, pan_speed=2.5, texture_octaves=14,
             base_cell=2,
         )
-        with mock.patch.object(workload, "_hash01", recording_hash01):
+        with (
+            mock.patch.object(workload, "_value_noise", recording_value_noise),
+            mock.patch.object(workload, "_hash01", recording_hash01),
+            mock.patch.object(workload, "_chunk_planes", recording_chunk_planes),
+        ):
             generate(config, 3)
-        assert len(shapes) == 3 * (14 + 1)
-        assert all(rows <= 32 and cols <= 32 for _, rows, cols in shapes)
+        assert sum(chunks) == 3
+        assert len(calls) == (14 + 1) * len(chunks)
+        assert all(
+            lattice_x <= 2 * xs and lattice_y <= 2 * ys for xs, ys, lattice_x, lattice_y in calls
+        )
         assert_matches_seed_generator(config, 3)
 
 
