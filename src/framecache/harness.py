@@ -389,10 +389,11 @@ class MemoryReportOptions:
             if any(dim < 0 for shape in shapes for dim in shape):
                 raise ValueError(f"entries: {label!r} has a negative dimension")
             for shape in shapes:
-                if math.prod(shape) > np.iinfo(np.intp).max:
+                values, most = math.prod(shape), np.iinfo(np.intp).max
+                if values > most:
                     raise ValueError(
-                        f"entries: {label!r} shape {shape} has {math.prod(shape)} values, "
-                        f"more than an intp counts ({np.iinfo(np.intp).max})"
+                        f"entries: {label!r} shape {shape} has {values} values, "
+                        f"more than an intp counts ({most})"
                     )
 
 
@@ -577,15 +578,17 @@ def _check_cache(cfg: RunConfig) -> None:
 
 
 def _apply_cache_label(spec, kind: str, label: str | None):
-    """spec under a label of _cache_labels, which _check_cache checked."""
     if label is None:
         return spec
-    if kind == "unet":
+    if kind == "unet" and label.startswith("unet_level_"):
         return set_unet_level(spec, int(label.rsplit("_", 1)[1]))
     # In the U-Net++ grid the deepest row index equals the build depth.
     depth = max(b.ident.depth for b in spec.blocks.values())
-    config = unetpp_config_a if label == "unetpp_config_a" else unetpp_config_b
-    return replace_cache_config(spec, config(depth))
+    if kind == "unetpp" and label == "unetpp_config_a":
+        return replace_cache_config(spec, unetpp_config_a(depth))
+    if kind == "unetpp" and label == "unetpp_config_b":
+        return replace_cache_config(spec, unetpp_config_b(depth))
+    raise ValueError(f"unknown cache label {label!r} for network kind {kind!r}")
 
 
 def _policy_from_config(cfg: RunConfig, horizon: int, default_preset: str):

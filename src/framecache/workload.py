@@ -256,8 +256,8 @@ def _chunk_planes(config: SceneConfig, coords: list) -> Iterator[tuple[np.ndarra
     depth = _depth_field(grid_x, grid_y, config.seed, config.base_cell) if config.channels >= 4 else None
     frames = len(coords)
     for cols, rows in zip(x_index.reshape(frames, -1), y_index.reshape(frames, -1)):
-        at = np.ix_(rows, cols)
-        yield texture[(slice(None),) + at], None if depth is None else depth[at]
+        rows = rows[:, None]
+        yield texture[:, rows, cols], None if depth is None else depth[rows, cols]
 
 
 def _stack_channels(config: SceneConfig, texture: np.ndarray, depth: np.ndarray | None) -> np.ndarray:
