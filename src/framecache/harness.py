@@ -7,6 +7,13 @@ Scenario-internal assertions raise ScenarioError so the command line can
 act as an acceptance runner; everything is a pure function of the config,
 so a (RunConfig, seed) pair reproduces its tables bit-identically.
 
+Each scenario's facts sit in one Scenario record: its options, default
+frame count, network defaults, scene defaults and where its scene size
+comes from. _prepare builds a scenario's inputs from its record and the
+config, checking as it builds; before any scenario runs, run_scenarios
+prepares each selected one exactly as its body will, so a config that
+passes this check does not fail one midway.
+
 Summary tables are always derived from the same per-frame values emitted
 in the companion frame table, so CSV consumers can recompute every mean.
 
@@ -46,7 +53,7 @@ from .engine import (
     full_passes,
     run_sequence,
 )
-from .metrics import aggregate, mse, prepare_references
+from .metrics import SSIM_WINDOW, aggregate, mse, prepare_references
 from .netgraph import feature_delta_profile, replace_cache_config
 from .ops import block_mean, repeat_nearest
 from .policies import PRESETS, EveryN, power_schedule, preset_policy
@@ -177,32 +184,6 @@ class RunConfig:
 
 
 _BUILDERS = {"unet": build_unet, "unetpp": build_unetpp, "superres": build_superres}
-
-# The builder parameters of each scenario that reads the network section;
-# the section's keys override them.
-_NETWORK_DEFAULTS = {
-    "policy_sweep": {"kind": "unet", "depth": 3, "base_channels": 8, "input_shape": (6, 48, 48)},
-    "null_hypothesis": {
-        "kind": "superres",
-        "base_channels": 8,
-        "lr_pool": 1,
-        "input_shape": (6, 64, 64),
-        "seed": 14,
-    },
-    "feature_profile": {"kind": "unet", "depth": 4, "base_channels": 8, "input_shape": (6, 48, 48)},
-}
-
-# The frame count of each scenario that generates a scene, unless the
-# config's frames sets it.
-_DEFAULT_FRAMES = {
-    "policy_sweep": 10,
-    "ablation_levels": 20,
-    "null_hypothesis": 40,
-    "superres_tradeoff": 40,
-    "feature_profile": 12,
-}
-# The scenarios whose quality means skip the config's warmup frames.
-_SCORED_SCENARIOS = ("policy_sweep", "ablation_levels", "null_hypothesis")
 
 _MEMORY_DEFAULT_ENTRIES = {
     "color_history_24x360x640": ((24, 360, 640),),
@@ -402,19 +383,27 @@ class FeatureProfileOptions:
     """feature_profile takes no options."""
 
 
-_OPTION_RECORDS = {
-    "policy_sweep": PolicySweepOptions,
-    "ablation_levels": AblationLevelsOptions,
-    "null_hypothesis": NullHypothesisOptions,
-    "superres_tradeoff": SuperresTradeoffOptions,
-    "memory_report": MemoryReportOptions,
-    "feature_profile": FeatureProfileOptions,
-}
+@dataclass(frozen=True)
+class Scenario:
+    """What the harness knows of one scenario besides its body (run).
 
+    frames is its default frame count (0 if it makes no scene) and
+    least_frames the fewest it accepts. network holds its builder
+    parameters, which the config's network section overrides, or is None
+    if it builds its own networks. A scored scenario's quality means skip
+    the config's warmup frames. scene holds its scene's fields apart from
+    the size, which is 6 channels of the square size_option field of its
+    options, or its network's input_shape when size_option is None.
+    """
 
-def _options(cfg: RunConfig, scenario: str):
-    """A scenario's options record, built from its section of options."""
-    return _construct(f"options.{scenario}", _OPTION_RECORDS[scenario], cfg.options.get(scenario, {}))
+    run: typing.Callable[[RunConfig], list[Table]]
+    options: type
+    frames: int = 0
+    least_frames: int = 1
+    network: dict | None = None
+    scored: bool = False
+    scene: dict = field(default_factory=dict)
+    size_option: str | None = None
 
 
 def validate_run_config(cfg: RunConfig) -> None:
@@ -438,7 +427,7 @@ def validate_run_config(cfg: RunConfig) -> None:
             raise ValueError(f"options key {name!r} is not a scenario name")
         if not isinstance(value, dict):
             raise ValueError(f"options.{name} must be a JSON object, got {value!r}")
-        _options(cfg, name)
+        _construct(f"options.{name}", _SCENARIO_RECORDS[name].options, value)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
@@ -474,14 +463,10 @@ def default_run_config(scenario: str = "all") -> RunConfig:
     return cfg
 
 
-def _frame_count(cfg: RunConfig, scenario: str) -> int:
-    return cfg.frames or _DEFAULT_FRAMES[scenario]
-
-
 def _network_params(cfg: RunConfig, scenario: str) -> dict:
     """The config's network section, then the scenario's builder
     parameters for the keys it leaves out."""
-    defaults = {"seed": cfg.seed, **_NETWORK_DEFAULTS[scenario]}
+    defaults = {"seed": cfg.seed, **_SCENARIO_RECORDS[scenario].network}
     return {**cfg.network, **{key: value for key, value in defaults.items() if key not in cfg.network}}
 
 
@@ -499,66 +484,60 @@ def _check_network_values(network: dict) -> None:
             _checked("network", build, {key: value for key, value in values.items() if key in params})
 
 
-def _build_network(cfg: RunConfig, scenario: str):
-    """The network of a scenario that reads the network section."""
-    params = _network_params(cfg, scenario)
-    return _construct(f"network for scenario {scenario}", _BUILDERS[params.pop("kind")], params)
-
-
-def _scene_shape(cfg: RunConfig, scenario: str) -> tuple[int, int, int]:
-    """The (channels, height, width) of a scenario's scene: its network's
-    input shape, ablation_levels' input_hw square, or the reference_hw
-    square superres_tradeoff downscales to its networks' inputs."""
-    if scenario == "ablation_levels":
-        hw = _options(cfg, scenario).input_hw
-    elif scenario == "superres_tradeoff":
-        hw = _options(cfg, scenario).reference_hw
+def _prepare(cfg: RunConfig, name: str):
+    """The (frames, options, network or None, SceneConfig or None) of
+    scenario name, built from its record and the config. It checks as it
+    builds: the network, then a scored scenario's warmup and the fewest
+    frames against its frame count, then a scene size in the config
+    against its own and a scored scene against the SSIM window.
+    run_scenarios prepares every selected scenario before any runs, and
+    each scenario body takes its inputs from this call."""
+    record = _SCENARIO_RECORDS[name]
+    options = _construct(f"options.{name}", record.options, cfg.options.get(name, {}))
+    spec = None
+    if record.network is not None:
+        params = _network_params(cfg, name)
+        spec = _construct(f"network for scenario {name}", _BUILDERS[params.pop("kind")], params)
+    if not record.frames:
+        return 0, options, spec, None
+    frames = cfg.frames or record.frames
+    if record.scored and cfg.warmup >= frames:
+        raise ValueError(f"warmup must be less than the {frames} frames of scenario {name}, got {cfg.warmup}")
+    if frames < record.least_frames:
+        raise ValueError(f"frames must be >= {record.least_frames} for scenario {name}, got {frames}")
+    if record.size_option is None:
+        shape = spec.input_shape
     else:
-        return tuple(_network_params(cfg, scenario)["input_shape"])
-    return (6, hw, hw)
-
-
-def _scene_config(cfg: RunConfig, scenario: str, **defaults) -> SceneConfig:
-    """A scenario's scene of _scene_shape; the config's scene section
-    overrides any field (run_scenarios lets it repeat the size only)."""
-    channels, height, width = _scene_shape(cfg, scenario)
-    size = {"channels": channels, "height": height, "width": width}
-    return _construct("scene", SceneConfig, cfg.scene, {"seed": cfg.seed, **size, **defaults})
-
-
-def _check_selected(cfg: RunConfig, names) -> None:
-    """Before any named scenario runs: each one that reads the network
-    section builds its network; each frame count exceeds warmup where the
-    scenario scores its runs, and is at least 2 for feature_profile; a
-    scene size in the config equals the scenario's _scene_shape."""
-    for name in names:
-        if name in _NETWORK_DEFAULTS:
-            _build_network(cfg, name)
-        if name not in _DEFAULT_FRAMES:
-            continue
-        frames = _frame_count(cfg, name)
-        if name in _SCORED_SCENARIOS and cfg.warmup >= frames:
+        hw = getattr(options, record.size_option)
+        shape = (6, hw, hw)
+    size = dict(zip(("channels", "height", "width"), shape))
+    for key, value in size.items():
+        if cfg.scene.get(key, value) != value:
             raise ValueError(
-                f"warmup must be less than the {frames} frames of scenario {name}, got {cfg.warmup}"
+                f"scene.{key} must be {value} to fit the network of scenario {name}, got {cfg.scene[key]}"
             )
-        if name == "feature_profile" and frames < 2:
-            raise ValueError(f"frames must be >= 2 for scenario feature_profile, got {frames}")
-        for key, size in zip(("channels", "height", "width"), _scene_shape(cfg, name)):
-            if cfg.scene.get(key, size) != size:
-                raise ValueError(
-                    f"scene.{key} must be {size} to fit the network of scenario {name}, "
-                    f"got {cfg.scene[key]}"
-                )
+    if record.scored and min(shape[1:]) < SSIM_WINDOW:
+        source = f"options.{name}.{record.size_option}" if record.size_option else "network.input_shape"
+        raise ValueError(
+            f"{source} must give scenario {name}, which scores its frames by SSIM, a scene of at least "
+            f"{SSIM_WINDOW}x{SSIM_WINDOW}, got {shape[1]}x{shape[2]}"
+        )
+    scene = _construct("scene", SceneConfig, cfg.scene, {"seed": cfg.seed, **size, **record.scene})
+    return frames, options, spec, scene
 
 
-def _cache_labels(kind: str, depth: int) -> tuple[str, ...]:
-    """The cache labels _apply_cache_label accepts for a network kind and
-    build depth."""
+def _cache_settings(kind: str, depth: int) -> dict:
+    """The cache labels of a network kind and build depth, in order, each
+    mapped to the function that puts such a network under it."""
     if kind == "unet":
-        return tuple(f"unet_level_{level}" for level in range(1, depth))
+        return {
+            f"unet_level_{level}": lambda spec, level=level: set_unet_level(spec, level)
+            for level in range(1, depth)
+        }
     if kind == "unetpp":
-        return ("unetpp_config_a", "unetpp_config_b")
-    return ()
+        configs = (unetpp_config_a(depth), unetpp_config_b(depth))
+        return {config.label: lambda spec, config=config: replace_cache_config(spec, config) for config in configs}
+    return {}
 
 
 def _check_cache(cfg: RunConfig) -> None:
@@ -569,7 +548,7 @@ def _check_cache(cfg: RunConfig) -> None:
     if not isinstance(cfg.cache, str):
         raise ValueError(f"cache must be null or a string, got {cfg.cache!r}")
     params = _network_params(cfg, "policy_sweep")
-    labels = _cache_labels(params["kind"], params["depth"])
+    labels = _cache_settings(params["kind"], params["depth"])
     if cfg.cache not in labels:
         raise ValueError(
             f"cache must be one of {list(labels)} for the {params['kind']} network of scenario "
@@ -577,18 +556,13 @@ def _check_cache(cfg: RunConfig) -> None:
         )
 
 
-def _apply_cache_label(spec, kind: str, label: str | None):
+def _apply_cache_label(spec, kind: str, depth: int, label: str | None):
     if label is None:
         return spec
-    if kind == "unet" and label.startswith("unet_level_"):
-        return set_unet_level(spec, int(label.rsplit("_", 1)[1]))
-    # In the U-Net++ grid the deepest row index equals the build depth.
-    depth = max(b.ident.depth for b in spec.blocks.values())
-    if kind == "unetpp" and label == "unetpp_config_a":
-        return replace_cache_config(spec, unetpp_config_a(depth))
-    if kind == "unetpp" and label == "unetpp_config_b":
-        return replace_cache_config(spec, unetpp_config_b(depth))
-    raise ValueError(f"unknown cache label {label!r} for network kind {kind!r}")
+    settings = _cache_settings(kind, depth)
+    if label not in settings:
+        raise ValueError(f"unknown cache label {label!r} for network kind {kind!r}")
+    return settings[label](spec)
 
 
 def _policy_from_config(cfg: RunConfig, horizon: int, default_preset: str):
@@ -676,17 +650,15 @@ def scenario_policy_sweep(cfg: RunConfig) -> list[Table]:
     Runs every policy preset against the same scene and reports refresh
     counts and quality against the no-cache baseline, one row per policy.
     """
-    frames = _frame_count(cfg, "policy_sweep")
-    kind = _network_params(cfg, "policy_sweep")["kind"]
-    spec = _apply_cache_label(_build_network(cfg, "policy_sweep"), kind, cfg.cache)
-    scene = _scene_config(cfg, "policy_sweep", pan_speed=3.0, base_cell=8)
-    presets = _options(cfg, "policy_sweep").presets
+    frames, opts, spec, scene = _prepare(cfg, "policy_sweep")
+    params = _network_params(cfg, "policy_sweep")
+    spec = _apply_cache_label(spec, params["kind"], params["depth"], cfg.cache)
     sequence = generate(scene, frames)
     memo = full_passes([spec], sequence)
     baseline = prepare_references(memo.outputs)
     summary_rows, frame_rows = [], []
     counts: dict[str, int] = {}
-    for preset in presets:
+    for preset in opts.presets:
         policy = preset_policy(preset, frames)
         report, summary, per_frame = _scored_run(
             preset, spec, sequence, policy, memo, cfg.warmup, baseline=baseline
@@ -730,20 +702,16 @@ def scenario_ablation_levels(cfg: RunConfig) -> list[Table]:
     Reports the FLOPs remaining on cached frames and sequence quality for
     each cache configuration under one periodic refresh policy.
     """
-    frames = _frame_count(cfg, "ablation_levels")
-    opts = _options(cfg, "ablation_levels")
-    shape = (6, opts.input_hw, opts.input_hw)
-    scene = _scene_config(cfg, "ablation_levels", pan_speed=0.75)
+    frames, opts, _, scene = _prepare(cfg, "ablation_levels")
+    shape = (scene.channels, scene.height, scene.width)
     sequence = generate(scene, frames)
     policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
 
     unet = build_unet(opts.unet_depth, opts.base_channels, shape, seed=cfg.seed)
     unetpp = build_unetpp(opts.unetpp_depth, opts.base_channels, shape, seed=cfg.seed)
-    unet_specs = [set_unet_level(unet, level) for level in range(1, opts.unet_depth)]
-    unetpp_specs = [
-        replace_cache_config(unetpp, config)
-        for config in (unetpp_config_b(opts.unetpp_depth), unetpp_config_a(opts.unetpp_depth))
-    ]
+    unet_specs = [apply(unet) for apply in _cache_settings("unet", opts.unet_depth).values()]
+    # Config B's rows before config A's.
+    unetpp_specs = [apply(unetpp) for apply in reversed(_cache_settings("unetpp", opts.unetpp_depth).values())]
     variants = []
     for family, specs in (("unet", unet_specs), ("unetpp", unetpp_specs)):
         memo = full_passes(specs, sequence)
@@ -805,10 +773,7 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     are what justifies caching at all: cache contents carry signal, and
     wrong contents are worse than stale ones.
     """
-    frames = _frame_count(cfg, "null_hypothesis")
-    opts = _options(cfg, "null_hypothesis")
-    spec = _build_network(cfg, "null_hypothesis")
-    scene = _scene_config(cfg, "null_hypothesis", seed=21, pan_speed=0.4)
+    frames, opts, spec, scene = _prepare(cfg, "null_hypothesis")
     corruption_seed = opts.corruption_seed
     policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
     sequence = generate(scene, frames)
@@ -920,12 +885,10 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     RMSE against the reference is computed once per scale, by the baseline
     row, whose cache error is zero; the cached rows at that scale reuse it.
     """
-    frames = _frame_count(cfg, "superres_tradeoff")
-    opts = _options(cfg, "superres_tradeoff")
+    frames, opts, _, scene = _prepare(cfg, "superres_tradeoff")
     small_scale = opts.small_input_scale
     large_scale = opts.large_input_scale
 
-    scene = _scene_config(cfg, "superres_tradeoff", pan_speed=3.0, base_cell=48)
     reference, (small_frames, large_frames) = _stream_reference(
         scene, frames, (small_scale, large_scale)
     )
@@ -1043,9 +1006,9 @@ _MEMORY_EXPECTED_BYTES = {
 
 def scenario_memory_report(cfg: RunConfig) -> list[Table]:
     """Cache memory footprint per workload: 4 bytes per stored value."""
-    entries = _options(cfg, "memory_report").entries
+    _, opts, _, _ = _prepare(cfg, "memory_report")
     rows = []
-    for label, shapes in entries.items():
+    for label, shapes in opts.entries.items():
         # Read-only broadcasts of one float32 have each shape's size and
         # allocate nothing, however large the shape.
         total = cache_bytes_report(
@@ -1062,9 +1025,7 @@ def scenario_memory_report(cfg: RunConfig) -> list[Table]:
 
 def scenario_feature_profile(cfg: RunConfig) -> list[Table]:
     """Per-depth feature drift (SMAPE against frame 0) on a panning scene."""
-    frames = _frame_count(cfg, "feature_profile")
-    spec = _build_network(cfg, "feature_profile")
-    scene = _scene_config(cfg, "feature_profile", pan_speed=1.0, base_cell=24)
+    frames, _, spec, scene = _prepare(cfg, "feature_profile")
     sequence = generate(scene, frames)
     profile = feature_delta_profile(spec, [frame.input for frame in sequence])
     depths = sorted(profile)
@@ -1087,14 +1048,33 @@ def scenario_feature_profile(cfg: RunConfig) -> list[Table]:
     return [Table("feature_profile_frames", header, rows)]
 
 
-SCENARIOS = {
-    "policy_sweep": scenario_policy_sweep,
-    "ablation_levels": scenario_ablation_levels,
-    "null_hypothesis": scenario_null_hypothesis,
-    "superres_tradeoff": scenario_superres_tradeoff,
-    "memory_report": scenario_memory_report,
-    "feature_profile": scenario_feature_profile,
+_SCENARIO_RECORDS = {
+    "policy_sweep": Scenario(
+        scenario_policy_sweep, PolicySweepOptions, frames=10, scored=True,
+        network={"kind": "unet", "depth": 3, "base_channels": 8, "input_shape": (6, 48, 48)},
+        scene={"pan_speed": 3.0, "base_cell": 8},
+    ),
+    "ablation_levels": Scenario(
+        scenario_ablation_levels, AblationLevelsOptions, frames=20, scored=True,
+        scene={"pan_speed": 0.75}, size_option="input_hw",
+    ),
+    "null_hypothesis": Scenario(
+        scenario_null_hypothesis, NullHypothesisOptions, frames=40, scored=True,
+        network={"kind": "superres", "base_channels": 8, "lr_pool": 1, "input_shape": (6, 64, 64), "seed": 14},
+        scene={"seed": 21, "pan_speed": 0.4},
+    ),
+    "superres_tradeoff": Scenario(
+        scenario_superres_tradeoff, SuperresTradeoffOptions, frames=40,
+        scene={"pan_speed": 3.0, "base_cell": 48}, size_option="reference_hw",
+    ),
+    "memory_report": Scenario(scenario_memory_report, MemoryReportOptions),
+    "feature_profile": Scenario(
+        scenario_feature_profile, FeatureProfileOptions, frames=12, least_frames=2,
+        network={"kind": "unet", "depth": 4, "base_channels": 8, "input_shape": (6, 48, 48)},
+        scene={"pan_speed": 1.0, "base_cell": 24},
+    ),
 }
+SCENARIOS = {name: record.run for name, record in _SCENARIO_RECORDS.items()}
 SCENARIO_NAMES = tuple(SCENARIOS)
 
 
@@ -1106,7 +1086,8 @@ def run_scenarios(cfg: RunConfig, out_dir=None, log=print) -> int:
     """
     validate_run_config(cfg)
     names = list(SCENARIO_NAMES) if cfg.scenario == "all" else [cfg.scenario]
-    _check_selected(cfg, names)
+    for name in names:
+        _prepare(cfg, name)
     destination = Path(out_dir if out_dir is not None else cfg.out_dir)
     status = 0
     for name in names:

@@ -279,6 +279,54 @@ class TestErrorHandling:
         assert stderr.count("\n") == 1 and named in stderr
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "scenario, fields, line",
+        [
+            (
+                "policy_sweep",
+                {"scene": {"height": 40}},
+                "scene.height must be 48 to fit the network of scenario policy_sweep, got 40",
+            ),
+            (
+                "ablation_levels",
+                {"scene": {"height": 40}},
+                "scene.height must be 48 to fit the network of scenario ablation_levels, got 40",
+            ),
+            (
+                "superres_tradeoff",
+                {"scene": {"height": 40}},
+                "scene.height must be 192 to fit the network of scenario superres_tradeoff, got 40",
+            ),
+            (
+                "null_hypothesis",
+                {"warmup": 40},
+                "warmup must be less than the 40 frames of scenario null_hypothesis, got 40",
+            ),
+            ("feature_profile", {"frames": 1}, "frames must be >= 2 for scenario feature_profile, got 1"),
+            (
+                "policy_sweep",
+                {"frames": 3, "network": {"depth": 2, "input_shape": [6, 4, 4]}},
+                "network.input_shape must give scenario policy_sweep, which scores its frames by SSIM, "
+                "a scene of at least 8x8, got 4x4",
+            ),
+            (
+                "ablation_levels",
+                {"frames": 3, "options": {"ablation_levels": {"unet_depth": 2, "unetpp_depth": 1, "input_hw": 4}}},
+                "options.ablation_levels.input_hw must give scenario ablation_levels, which scores its frames "
+                "by SSIM, a scene of at least 8x8, got 4x4",
+            ),
+        ],
+    )
+    def test_scenario_run_alone_checked_before_it_runs(self, tmp_path, capsys, monkeypatch, scenario, fields, line):
+        for name in _THREAD_ENV_VARS:
+            monkeypatch.setenv(name, os.environ.get(name, "1"))
+        config = write_config(tmp_path, **fields)
+        out_dir = tmp_path / "out"
+        status = cli.main(["run", "--config", str(config), "--scenario", scenario, "--out", str(out_dir)])
+        assert status == 2
+        assert capsys.readouterr().err == f"framecache: {line}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("scenario", ["memory_report", "ablation_levels"])
     def test_network_value_type_checked_whichever_scenario_runs(self, tmp_path, capsys, monkeypatch, scenario):
         # Neither scenario builds a network; the value still fails the

@@ -222,11 +222,81 @@ def policy_sweep_runs(draw):
     return "policy_sweep", data
 
 
-@in_process(40)
-@given(run=st.one_of(MEMORY_RUNS, policy_sweep_runs()))
+@st.composite
+def ablation_levels_runs(draw):
+    unet_depth, unetpp_depth = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    # input_hw halves evenly as often as the deeper network pools, and
+    # holds an SSIM window.
+    steps = max(unet_depth - 1, unetpp_depth)
+    options = {
+        "unet_depth": unet_depth,
+        "unetpp_depth": unetpp_depth,
+        "base_channels": draw(st.integers(1, 6)),
+        "input_hw": draw(st.sampled_from([hw for hw in range(8, 49) if hw % (1 << steps) == 0])),
+    }
+    policy = draw(st.sampled_from([{}, {"preset": "n2"}, {"preset": "delta_l", "tau": 0.3}]))
+    return "ablation_levels", {"policy": policy, "options": {"ablation_levels": options}}
+
+
+@st.composite
+def null_hypothesis_runs(draw):
+    network = draw(st.fixed_dictionaries({}, optional={"base_channels": st.integers(1, 6), "lr_pool": st.integers(0, 2)}))
+    options = {
+        "corruption_seed": draw(st.integers(0, 9)),
+        "noise_scales": draw(st.lists(st.floats(0, 4), max_size=2)),
+    }
+    return "null_hypothesis", {"network": network, "options": {"null_hypothesis": options}}
+
+
+@st.composite
+def superres_tradeoff_runs(draw):
+    # The large input's scale is at most the small one's; at equal scales
+    # the scenario's own check fails (exit 1).
+    small = draw(st.integers(1, 4))
+    large = draw(st.integers(1, small))
+    lr_pool = draw(st.integers(0, 2))
+    # reference_hw divides by each scale into a size that halves lr_pool times.
+    unit = math.lcm(small, large) << lr_pool
+    options = {
+        "reference_hw": unit * draw(st.integers(1, 96 // unit)),
+        "small_input_scale": small,
+        "large_input_scale": large,
+        "base_channels": draw(st.integers(1, 6)),
+        "lr_pool": lr_pool,
+        "policies": draw(st.lists(st.sampled_from(sorted(PRESETS)), max_size=3, unique=True)),
+    }
+    return "superres_tradeoff", {"options": {"superres_tradeoff": options}}
+
+
+@st.composite
+def feature_profile_runs(draw):
+    network = draw(st.fixed_dictionaries({}, optional={"depth": st.integers(2, 4), "base_channels": st.integers(1, 6)}))
+    return "feature_profile", {"network": network}
+
+
+@st.composite
+def scene_runs(draw):
+    """A run of one of the scenarios above, at 2 or 3 frames with warmup
+    below them, and a seed and scene motion drawn like policy_sweep's."""
+    scenario, data = draw(
+        st.one_of(ablation_levels_runs(), null_hypothesis_runs(), superres_tradeoff_runs(), feature_profile_runs())
+    )
+    frames = draw(st.integers(2, 3))
+    data.update(
+        seed=draw(st.integers(0, 3)),
+        frames=frames,
+        warmup=draw(st.integers(0, frames - 1)),
+        scene=draw(st.fixed_dictionaries({}, optional={"pan_speed": st.floats(-4, 4), "sprite_count": st.integers(0, 2)})),
+    )
+    return scenario, data
+
+
+@in_process(60)
+@given(run=st.one_of(MEMORY_RUNS, policy_sweep_runs(), scene_runs()))
 def test_valid_config_runs(run, tmp_path_factory, capsys, monkeypatch):
     scenario, data = run
     directory = tmp_path_factory.mktemp("valid")
     status, stderr = run_main({"version": 1, **data}, scenario, directory, capsys, monkeypatch)
     assert status in (0, 1), stderr
-    assert (directory / "out").is_dir()
+    # A scenario that fails one of its checks writes no table.
+    assert (directory / "out").is_dir() == (status == 0)
