@@ -12,7 +12,8 @@ frame count, network defaults, scene defaults and where its scene size
 comes from. _prepare builds a scenario's inputs from its record and the
 config, checking as it builds; before any scenario runs, run_scenarios
 prepares each selected one exactly as its body will, so a config that
-passes this check does not fail one midway.
+passes this check raises no config error (exit 2) midway. A scenario's
+own acceptance checks can still fail it (exit 1).
 
 Summary tables are always derived from the same per-frame values emitted
 in the companion frame table, so CSV consumers can recompute every mean.
@@ -390,7 +391,8 @@ class Scenario:
     frames is its default frame count (0 if it makes no scene) and
     least_frames the fewest it accepts. network holds its builder
     parameters, which the config's network section overrides, or is None
-    if it builds its own networks. A scored scenario's quality means skip
+    if it builds its own networks; cache says whether the config's cache
+    label applies to that network. A scored scenario's quality means skip
     the config's warmup frames. scene holds its scene's fields apart from
     the size, which is 6 channels of the square size_option field of its
     options, or its network's input_shape when size_option is None.
@@ -401,6 +403,7 @@ class Scenario:
     frames: int = 0
     least_frames: int = 1
     network: dict | None = None
+    cache: bool = False
     scored: bool = False
     scene: dict = field(default_factory=dict)
     size_option: str | None = None
@@ -487,9 +490,10 @@ def _check_network_values(network: dict) -> None:
 def _prepare(cfg: RunConfig, name: str):
     """The (frames, options, network or None, SceneConfig or None) of
     scenario name, built from its record and the config. It checks as it
-    builds: the network, then a scored scenario's warmup and the fewest
-    frames against its frame count, then a scene size in the config
-    against its own and a scored scene against the SSIM window.
+    builds: the network, under the config's cache label if the record
+    says so, then a scored scenario's warmup and the fewest frames
+    against its frame count, then a scene size in the config against its
+    own and a scored scene against the SSIM window.
     run_scenarios prepares every selected scenario before any runs, and
     each scenario body takes its inputs from this call."""
     record = _SCENARIO_RECORDS[name]
@@ -497,7 +501,10 @@ def _prepare(cfg: RunConfig, name: str):
     spec = None
     if record.network is not None:
         params = _network_params(cfg, name)
-        spec = _construct(f"network for scenario {name}", _BUILDERS[params.pop("kind")], params)
+        kind = params.pop("kind")
+        spec = _construct(f"network for scenario {name}", _BUILDERS[kind], params)
+        if record.cache:
+            spec = _apply_cache_label(spec, kind, params["depth"], cfg.cache)
     if not record.frames:
         return 0, options, spec, None
     frames = cfg.frames or record.frames
@@ -651,8 +658,6 @@ def scenario_policy_sweep(cfg: RunConfig) -> list[Table]:
     counts and quality against the no-cache baseline, one row per policy.
     """
     frames, opts, spec, scene = _prepare(cfg, "policy_sweep")
-    params = _network_params(cfg, "policy_sweep")
-    spec = _apply_cache_label(spec, params["kind"], params["depth"], cfg.cache)
     sequence = generate(scene, frames)
     memo = full_passes([spec], sequence)
     baseline = prepare_references(memo.outputs)
@@ -1050,7 +1055,7 @@ def scenario_feature_profile(cfg: RunConfig) -> list[Table]:
 
 _SCENARIO_RECORDS = {
     "policy_sweep": Scenario(
-        scenario_policy_sweep, PolicySweepOptions, frames=10, scored=True,
+        scenario_policy_sweep, PolicySweepOptions, frames=10, scored=True, cache=True,
         network={"kind": "unet", "depth": 3, "base_channels": 8, "input_shape": (6, 48, 48)},
         scene={"pan_speed": 3.0, "base_cell": 8},
     ),
