@@ -19,7 +19,6 @@ from .netgraph import (
     Block,
     BlockId,
     CacheConfig,
-    Edge,
     NetworkSpec,
     make_network_spec,
     replace_cache_config,
@@ -122,27 +121,24 @@ def build_unet(
         out_channels = in_c
     rng = np.random.default_rng(seed)
     blocks: list[Block] = []
-    edges: list[Edge] = []
 
     blocks.append(
         Block(
             name="enc0",
             ident=BlockId(KIND_UNET, 0, 0),
-            slot_ops=("none",),
+            inputs=((INPUT, "none"),),
             ops=_conv_block_ops(rng, in_c, base_channels),
         )
     )
-    edges.append(Edge(INPUT, "enc0", 0))
     for i in range(1, depth):
         blocks.append(
             Block(
                 name=f"enc{i}",
                 ident=BlockId(KIND_UNET, i, 0),
-                slot_ops=("maxpool2",),
+                inputs=((f"enc{i - 1}", "maxpool2"),),
                 ops=_conv_block_ops(rng, base_channels << (i - 1), base_channels << i),
             )
         )
-        edges.append(Edge(f"enc{i - 1}", f"enc{i}", 0))
     for i in range(depth - 2, -1, -1):
         deep = f"enc{depth - 1}" if i == depth - 2 else f"dec{i + 1}"
         deep_c = base_channels << (i + 1)
@@ -151,24 +147,20 @@ def build_unet(
             Block(
                 name=f"dec{i}",
                 ident=BlockId(KIND_UNET, i, 1),
-                slot_ops=("upsample2", "none"),
+                inputs=((deep, "upsample2"), (f"enc{i}", "none")),
                 ops=_conv_block_ops(rng, deep_c + skip_c, skip_c),
             )
         )
-        edges.append(Edge(deep, f"dec{i}", 0))
-        edges.append(Edge(f"enc{i}", f"dec{i}", 1))
     blocks.append(
         Block(
             name="head",
             ident=BlockId(KIND_FUSION, 0, 0),
-            slot_ops=("none",),
+            inputs=(("dec0", "none"),),
             ops=(make_conv(rng, base_channels, out_channels, kernel=1),),
         )
     )
-    edges.append(Edge("dec0", "head", 0))
     return make_network_spec(
         blocks,
-        edges,
         input_shape,
         "head",
         cache_config=unet_level_config(depth, 1),
@@ -222,7 +214,6 @@ def build_unetpp(
         out_channels = in_c
     rng = np.random.default_rng(seed)
     blocks: list[Block] = []
-    edges: list[Edge] = []
 
     for i in range(depth + 1):
         row_c = base_channels << i
@@ -231,49 +222,42 @@ def build_unetpp(
                 Block(
                     name="x0.0",
                     ident=BlockId(KIND_UNETPP, 0, 0),
-                    slot_ops=("none",),
+                    inputs=((INPUT, "none"),),
                     ops=_conv_block_ops(rng, in_c, row_c),
                 )
             )
-            edges.append(Edge(INPUT, "x0.0", 0))
         else:
             blocks.append(
                 Block(
                     name=f"x{i}.0",
                     ident=BlockId(KIND_UNETPP, i, 0),
-                    slot_ops=("maxpool2",),
+                    inputs=((f"x{i - 1}.0", "maxpool2"),),
                     ops=_conv_block_ops(rng, row_c >> 1, row_c),
                 )
             )
-            edges.append(Edge(f"x{i - 1}.0", f"x{i}.0", 0))
     for i in range(depth):
         row_c = base_channels << i
         for j in range(1, depth - i + 1):
             in_total = j * row_c + (row_c << 1)
-            slot_ops = tuple(["none"] * j + ["upsample2"])
+            row = tuple((f"x{i}.{k}", "none") for k in range(j))
             blocks.append(
                 Block(
                     name=f"x{i}.{j}",
                     ident=BlockId(KIND_UNETPP, i, j),
-                    slot_ops=slot_ops,
+                    inputs=row + ((f"x{i + 1}.{j - 1}", "upsample2"),),
                     ops=_conv_block_ops(rng, in_total, row_c),
                 )
             )
-            for k in range(j):
-                edges.append(Edge(f"x{i}.{k}", f"x{i}.{j}", k))
-            edges.append(Edge(f"x{i + 1}.{j - 1}", f"x{i}.{j}", j))
     blocks.append(
         Block(
             name="head",
             ident=BlockId(KIND_FUSION, 0, 0),
-            slot_ops=("none",),
+            inputs=((f"x0.{depth}", "none"),),
             ops=(make_conv(rng, base_channels, out_channels, kernel=1),),
         )
     )
-    edges.append(Edge(f"x0.{depth}", "head", 0))
     return make_network_spec(
         blocks,
-        edges,
         input_shape,
         "head",
         cache_config=unetpp_config_b(depth),
@@ -336,24 +320,21 @@ def build_multibranch(
         Block(
             name=name,
             ident=BlockId(KIND_BRANCH, 0, idx),
-            slot_ops=("none",),
+            inputs=((INPUT, "none"),),
             ops=tuple(ops),
         )
         for idx, (name, ops) in enumerate(branches)
     ]
-    edges = [Edge(INPUT, name, 0) for name in names]
     blocks.append(
         Block(
             name="fuse",
             ident=BlockId(KIND_FUSION, 0, 0),
-            slot_ops=tuple("none" for _ in names),
+            inputs=tuple((name, "none") for name in names),
             ops=tuple(fusion_ops),
         )
     )
-    edges.extend(Edge(name, "fuse", slot) for slot, name in enumerate(names))
     return make_network_spec(
         blocks,
-        edges,
         input_shape,
         "fuse",
         cache_config=multibranch_config(names, cached_branches),

@@ -184,7 +184,14 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
 
-_BUILDERS = {"unet": build_unet, "unetpp": build_unetpp, "superres": build_superres}
+_NETWORK_KINDS = ("unet", "unetpp", "superres")
+
+
+def _builder(kind: str):
+    """The builder of a network kind, looked up in this module at call
+    time, so a replaced harness.build_<kind> binding is the one called."""
+    return globals()[f"build_{kind}"]
+
 
 _MEMORY_DEFAULT_ENTRIES = {
     "color_history_24x360x640": ((24, 360, 640),),
@@ -336,7 +343,8 @@ class NullHypothesisOptions:
 class SuperresTradeoffOptions:
     """superres_tradeoff's square reference size, the factors it downscales
     by to its two network inputs, their network's parameters and the cached
-    rows' presets. Each downscaled size must halve evenly lr_pool times."""
+    rows' presets. The large input's scale is below the small one's, and
+    each downscaled size must halve evenly lr_pool times."""
 
     reference_hw: int = 192
     small_input_scale: int = 4
@@ -349,6 +357,11 @@ class SuperresTradeoffOptions:
         _check_minimums(
             self, reference_hw=1, small_input_scale=1, large_input_scale=1, base_channels=1, lr_pool=0
         )
+        if self.large_input_scale >= self.small_input_scale:
+            raise ValueError(
+                f"large_input_scale must be less than small_input_scale {self.small_input_scale}, "
+                f"got {self.large_input_scale}"
+            )
         _check_presets("policies", self.policies)
         hw = self.reference_hw
         for key in ("small_input_scale", "large_input_scale"):
@@ -419,7 +432,7 @@ def validate_run_config(cfg: RunConfig) -> None:
     if not (_is_int(cfg.warmup) and cfg.warmup >= 0):
         raise ValueError(f"warmup must be an integer >= 0, got {cfg.warmup!r}")
     # A preset's policy class does not depend on the horizon.
-    _policy_from_config(cfg, 1, _DEFAULT_POLICY_PRESET)
+    _policy_from_config(cfg, 1)
     _construct("scene", SceneConfig, cfg.scene, {"seed": cfg.seed})
     _check_network_values(cfg.network)
     _check_cache(cfg)
@@ -479,10 +492,11 @@ def _check_network_values(network: dict) -> None:
     run_scenarios builds the selected scenarios' networks."""
     values = dict(network)
     kind = values.pop("kind", None)
-    if "kind" in network and (not isinstance(kind, str) or kind not in _BUILDERS):
+    if "kind" in network and (not isinstance(kind, str) or kind not in _NETWORK_KINDS):
         raise ValueError(f"unknown network kind {kind!r}")
-    for name, build in _BUILDERS.items():
+    for name in _NETWORK_KINDS:
         if kind in (None, name):
+            build = _builder(name)
             params = inspect.signature(build).parameters
             _checked("network", build, {key: value for key, value in values.items() if key in params})
 
@@ -502,7 +516,7 @@ def _prepare(cfg: RunConfig, name: str):
     if record.network is not None:
         params = _network_params(cfg, name)
         kind = params.pop("kind")
-        spec = _construct(f"network for scenario {name}", _BUILDERS[kind], params)
+        spec = _construct(f"network for scenario {name}", _builder(kind), params)
         if record.cache:
             spec = _apply_cache_label(spec, kind, params["depth"], cfg.cache)
     if not record.frames:
@@ -572,10 +586,10 @@ def _apply_cache_label(spec, kind: str, depth: int, label: str | None):
     return settings[label](spec)
 
 
-def _policy_from_config(cfg: RunConfig, horizon: int, default_preset: str):
-    """The policy section's preset on horizon, with its other keys as
-    field overrides."""
-    preset = cfg.policy.get("preset", default_preset)
+def _policy_from_config(cfg: RunConfig, horizon: int):
+    """The policy section's preset (_DEFAULT_POLICY_PRESET if it names
+    none) on horizon, with its other keys as field overrides."""
+    preset = cfg.policy.get("preset", _DEFAULT_POLICY_PRESET)
     if not isinstance(preset, str) or preset not in PRESETS:
         raise ValueError(f"unknown policy preset {preset!r}; pick from {tuple(PRESETS)}")
     policy = preset_policy(preset, horizon)
@@ -710,7 +724,7 @@ def scenario_ablation_levels(cfg: RunConfig) -> list[Table]:
     frames, opts, _, scene = _prepare(cfg, "ablation_levels")
     shape = (scene.channels, scene.height, scene.width)
     sequence = generate(scene, frames)
-    policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
+    policy = _policy_from_config(cfg, frames)
 
     unet = build_unet(opts.unet_depth, opts.base_channels, shape, seed=cfg.seed)
     unetpp = build_unetpp(opts.unetpp_depth, opts.base_channels, shape, seed=cfg.seed)
@@ -780,7 +794,7 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     """
     frames, opts, spec, scene = _prepare(cfg, "null_hypothesis")
     corruption_seed = opts.corruption_seed
-    policy = _policy_from_config(cfg, frames, _DEFAULT_POLICY_PRESET)
+    policy = _policy_from_config(cfg, frames)
     sequence = generate(scene, frames)
     memo = full_passes([spec], sequence)
     baseline = prepare_references(memo.outputs)

@@ -1,12 +1,13 @@
 """Static network graphs and their full / cache-substituting forward passes.
 
-A network is a DAG of blocks. Each block owns an ordered list of input
-slots; a slot receives exactly one producer tensor (another block's output
-or the network input), optionally resampled (``maxpool2`` / ``upsample2``)
-before all slots are concatenated along channels and fed to the block's
-primitive sequence. A CacheConfig names the edges whose producer-side
-tensors are stored on refresh frames and substituted at the consumer slots
-afterwards; the blocks a cached frame runs follow from those edges.
+A network is a DAG of blocks. Each block names its inputs: an ordered
+list of slots, each holding one producer (another block or the network
+input) and an optional resampling (``maxpool2`` / ``upsample2``). The
+resampled slots are concatenated along channels and fed to the block's
+primitive sequence. The graph's edges, one per slot, are derived from the
+blocks. A CacheConfig names the edges whose producer-side tensors are
+stored on refresh frames and substituted at the consumer slots afterwards;
+the blocks a cached frame runs follow from those edges.
 """
 
 from dataclasses import dataclass, field, replace
@@ -54,30 +55,6 @@ class BlockId:
             raise ValueError("depth and index must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
-class Block:
-    name: str
-    ident: BlockId
-    slot_ops: tuple[str, ...]
-    ops: tuple  # ConvParams instances or "relu" / "maxpool2" / "upsample2"
-
-    def __post_init__(self):
-        if not self.name or self.name == INPUT:
-            raise ValueError(f"bad block name {self.name!r}")
-        if not self.slot_ops:
-            raise ValueError(f"block {self.name} needs at least one input slot")
-        for op in self.slot_ops:
-            if op not in SLOT_OPS:
-                raise ValueError(f"unknown slot op {op!r} on block {self.name}")
-        for op in self.ops:
-            if not isinstance(op, ConvParams) and op not in (
-                "relu",
-                "maxpool2",
-                "upsample2",
-            ):
-                raise ValueError(f"unknown op {op!r} on block {self.name}")
-
-
 @dataclass(frozen=True)
 class Edge:
     src: str
@@ -87,6 +64,37 @@ class Edge:
     @property
     def name(self) -> str:
         return f"{self.src}->{self.dst}:{self.slot}"
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    """One node of the graph. inputs holds a (producer, slot op) pair per
+    input slot, in concat order; the producer is a block name or INPUT.
+    edges holds the edge into each slot, derived from inputs."""
+
+    name: str
+    ident: BlockId
+    inputs: tuple[tuple[str, str], ...]
+    ops: tuple  # ConvParams instances or "relu" / "maxpool2" / "upsample2"
+    edges: tuple[Edge, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not self.name or self.name == INPUT:
+            raise ValueError(f"bad block name {self.name!r}")
+        if not self.inputs:
+            raise ValueError(f"block {self.name} needs at least one input slot")
+        for _, op in self.inputs:
+            if op not in SLOT_OPS:
+                raise ValueError(f"unknown slot op {op!r} on block {self.name}")
+        for op in self.ops:
+            if not isinstance(op, ConvParams) and op not in (
+                "relu",
+                "maxpool2",
+                "upsample2",
+            ):
+                raise ValueError(f"unknown op {op!r} on block {self.name}")
+        edges = tuple(Edge(src, self.name, slot) for slot, (src, _) in enumerate(self.inputs))
+        object.__setattr__(self, "edges", edges)
 
 
 @dataclass(frozen=True)
@@ -128,14 +136,14 @@ class NetworkSpec:
         raise KeyError(name)
 
 
-def _toposort(blocks: dict[str, Block], edges: tuple[Edge, ...]) -> tuple[str, ...]:
+def _toposort(blocks: dict[str, Block]) -> tuple[str, ...]:
     pending = {name: 0 for name in blocks}
     consumers: dict[str, list[str]] = {name: [] for name in blocks}
-    for edge in edges:
-        if edge.src == INPUT:
-            continue
-        pending[edge.dst] += 1
-        consumers[edge.src].append(edge.dst)
+    for name, block in blocks.items():
+        for src, _ in block.inputs:
+            if src != INPUT:
+                pending[name] += 1
+                consumers[src].append(name)
     ready = sorted(name for name, n in pending.items() if n == 0)
     order: list[str] = []
     while ready:
@@ -153,15 +161,13 @@ def _toposort(blocks: dict[str, Block], edges: tuple[Edge, ...]) -> tuple[str, .
 
 def _slot_shape(op: str, shape: tuple[int, int, int], where: str) -> tuple[int, int, int]:
     c, h, w = shape
-    if op == "none":
-        return shape
     if op == "maxpool2":
         if h % 2 or w % 2:
             raise ValueError(f"{where}: maxpool2 needs even dims, got {h}x{w}")
         return (c, h // 2, w // 2)
     if op == "upsample2":
         return (c, 2 * h, 2 * w)
-    raise ValueError(f"{where}: unknown slot op {op!r}")
+    return shape
 
 
 def _ops_shape_flops(block: Block, shape: tuple[int, int, int]) -> tuple[tuple[int, int, int], int]:
@@ -188,27 +194,17 @@ def _ops_shape_flops(block: Block, shape: tuple[int, int, int]) -> tuple[tuple[i
 
 def _infer_shapes(
     blocks: dict[str, Block],
-    edges: tuple[Edge, ...],
     input_shape: tuple[int, int, int],
     order: tuple[str, ...],
 ) -> tuple[dict[str, tuple[int, int, int]], dict[str, int]]:
-    by_slot: dict[tuple[str, int], Edge] = {}
-    for edge in edges:
-        key = (edge.dst, edge.slot)
-        if key in by_slot:
-            raise ValueError(f"slot {edge.slot} of block {edge.dst} is fed twice")
-        by_slot[key] = edge
     shapes: dict[str, tuple[int, int, int]] = {}
     flops: dict[str, int] = {}
     for name in order:
         block = blocks[name]
-        slot_shapes = []
-        for slot, slot_op in enumerate(block.slot_ops):
-            edge = by_slot.get((name, slot))
-            if edge is None:
-                raise ValueError(f"slot {slot} of block {name} has no incoming edge")
-            src_shape = input_shape if edge.src == INPUT else shapes[edge.src]
-            slot_shapes.append(_slot_shape(slot_op, src_shape, f"edge {edge.name}"))
+        slot_shapes = [
+            _slot_shape(slot_op, input_shape if src == INPUT else shapes[src], f"edge {edge.name}")
+            for (src, slot_op), edge in zip(block.inputs, block.edges)
+        ]
         hw = slot_shapes[0][1:]
         for s in slot_shapes[1:]:
             if s[1:] != hw:
@@ -219,7 +215,7 @@ def _infer_shapes(
 
 
 def _live_blocks(
-    edges: tuple[Edge, ...],
+    blocks: dict[str, Block],
     order: tuple[str, ...],
     output_block: str,
     cached_edges: frozenset[str],
@@ -230,7 +226,7 @@ def _live_blocks(
     Raises ValueError if a cached edge does not exist or leaves one of
     these blocks.
     """
-    producers = {edge.name: edge.src for edge in edges}
+    producers = {edge.name: edge.src for block in blocks.values() for edge in block.edges}
     for name in cached_edges:
         if name not in producers:
             raise ValueError(f"cached edge {name!r} does not exist")
@@ -239,8 +235,8 @@ def _live_blocks(
         if name in live:
             live.update(
                 edge.src
-                for edge in edges
-                if edge.dst == name and edge.src != INPUT and edge.name not in cached_edges
+                for edge in blocks[name].edges
+                if edge.src != INPUT and edge.name not in cached_edges
             )
     for name in cached_edges:
         if producers[name] in live:
@@ -250,7 +246,6 @@ def _live_blocks(
 
 def make_network_spec(
     blocks: list[Block],
-    edges: list[Edge],
     input_shape: tuple[int, int, int],
     output_block: str,
     cache_config: CacheConfig | None = None,
@@ -267,38 +262,34 @@ def make_network_spec(
             raise ValueError(f"duplicate block id {block.ident}")
         by_name[block.name] = block
         idents.add(block.ident)
+    edges = tuple(edge for block in blocks for edge in block.edges)
     for edge in edges:
         if edge.src != INPUT and edge.src not in by_name:
             raise ValueError(f"edge {edge.name} references unknown source")
-        if edge.dst not in by_name:
-            raise ValueError(f"edge {edge.name} references unknown destination")
-        if edge.slot < 0 or edge.slot >= len(by_name[edge.dst].slot_ops):
-            raise ValueError(f"edge {edge.name} targets a slot that does not exist")
     if output_block not in by_name:
         raise ValueError(f"output block {output_block!r} does not exist")
-    edge_tuple = tuple(edges)
-    order = _toposort(by_name, edge_tuple)
-    shapes, block_flops = _infer_shapes(by_name, edge_tuple, tuple(input_shape), order)
-    unused = set(order) - set(_live_blocks(edge_tuple, order, output_block, frozenset()))
+    order = _toposort(by_name)
+    shapes, block_flops = _infer_shapes(by_name, tuple(input_shape), order)
+    unused = set(order) - set(_live_blocks(by_name, order, output_block, frozenset()))
     if unused:
         raise ValueError(f"blocks {sorted(unused)} do not feed output block {output_block!r}")
     if cache_config is None:
         cache_config = CacheConfig("none", frozenset())
     return NetworkSpec(
         blocks=by_name,
-        edges=edge_tuple,
+        edges=edges,
         input_shape=tuple(input_shape),
         output_block=output_block,
         cache_config=cache_config,
         order=order,
         shapes=shapes,
         block_flops=block_flops,
-        live_blocks=_live_blocks(edge_tuple, order, output_block, cache_config.cached_edges),
+        live_blocks=_live_blocks(by_name, order, output_block, cache_config.cached_edges),
     )
 
 
 def replace_cache_config(spec: NetworkSpec, config: CacheConfig) -> NetworkSpec:
-    live = _live_blocks(spec.edges, spec.order, spec.output_block, config.cached_edges)
+    live = _live_blocks(spec.blocks, spec.order, spec.output_block, config.cached_edges)
     return replace(spec, cache_config=config, live_blocks=live)
 
 
@@ -357,22 +348,20 @@ def _execute(
 ) -> ForwardRecord:
     if x.shape != spec.input_shape:
         raise ValueError(f"input shape {x.shape} does not match spec {spec.input_shape}")
-    by_slot = {(e.dst, e.slot): e for e in spec.edges}
     computed: dict[str, np.ndarray] = {INPUT: x}
     flops = 0
-    executed: list[str] = []
     for name in names:
         block = spec.blocks[name]
         parts = []
-        for slot, slot_op in enumerate(block.slot_ops):
-            edge = by_slot[(name, slot)]
-            if edge.src in computed:
-                value = computed[edge.src]
+        for slot, (src, slot_op) in enumerate(block.inputs):
+            if src in computed:
+                value = computed[src]
             else:
+                edge = block.edges[slot]
                 if cache is None or edge.name not in cache:
                     raise ValueError(f"missing cache entry for edge {edge.name}")
                 value = cache[edge.name]
-                expected = spec.shapes[edge.src]
+                expected = spec.shapes[src]
                 if value.shape != expected:
                     raise ValueError(
                         f"cache entry for {edge.name} has shape {value.shape}, "
@@ -383,11 +372,10 @@ def _execute(
         out, block_flops = _run_ops(block, merged)
         computed[name] = out
         flops += block_flops
-        executed.append(name)
     record = ForwardRecord(
         output=computed[spec.output_block],
         flops_executed=flops,
-        executed_blocks=tuple(executed),
+        executed_blocks=names,
     )
     for edge_name in edges:
         edge = spec.edge_by_name(edge_name)

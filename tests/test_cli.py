@@ -1,11 +1,13 @@
 """End-to-end tests of the command line, most through real subprocesses;
-the table of rejected config fields calls cli.main in-process."""
+the table of rejected config fields calls cli.main in-process, and so
+does the check of the benchmark's stream pass against its digest."""
 
 import hashlib
 import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from importlib.metadata import PackageNotFoundError, distribution
@@ -15,7 +17,11 @@ import numpy as np
 import pytest
 
 from framecache import cli
+from framecache.builders import build_unet, set_unet_level
 from framecache.cli import _THREAD_ENV_VARS
+from framecache.engine import run_sequence
+from framecache.policies import preset_policy
+from framecache.workload import SceneConfig, generate
 
 MODULE = [sys.executable, "-m", "framecache.cli"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -264,6 +270,10 @@ class TestErrorHandling:
                 {"options": {"memory_report": {"entries": {"big": [[2**40, 2**40]]}}}},
                 "options.memory_report: entries: 'big' shape (1099511627776, 1099511627776) has",
             ),
+            (
+                {"frames": 4, "options": {"superres_tradeoff": {"large_input_scale": 4}}},
+                "options.superres_tradeoff: large_input_scale must be less than small_input_scale 4, got 4",
+            ),
         ],
     )
     def test_bad_field_rejected_before_any_scenario(self, tmp_path, capsys, monkeypatch, fields, named):
@@ -426,6 +436,17 @@ def blas_build() -> dict:
     return np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
 
 
+def recorded_reference() -> dict:
+    """perfbench/reference.json: the digests at seed 0 and
+    PYTHONHASHSEED=0, recorded on one numpy and BLAS build. Skips the
+    test on another build."""
+    reference = json.loads(REFERENCE.read_text())
+    recorded = reference["environment"]
+    if (recorded["numpy"], recorded["blas_version"]) != (np.__version__, blas_build().get("version")):
+        pytest.skip("the digests were recorded on another numpy or BLAS build")
+    return reference
+
+
 class TestThreadIndependence:
     """Scenario tables do not depend on the BLAS thread count, and at one
     thread they match the benchmark's recorded digests."""
@@ -444,14 +465,27 @@ class TestThreadIndependence:
         assert tables[0] == tables[1]
 
     def test_all_scenarios_match_recorded_digests(self, tables):
-        # perfbench/reference.json holds the default suite's digests at seed 0
-        # and PYTHONHASHSEED=0, recorded on one numpy and BLAS build.
-        reference = json.loads(REFERENCE.read_text())
-        recorded = reference["environment"]
-        if (recorded["numpy"], recorded["blas_version"]) != (np.__version__, blas_build().get("version")):
-            pytest.skip("the digests were recorded on another numpy or BLAS build")
+        reference = recorded_reference()
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in tables[0].items()}
         assert digests == reference["suite_default"]["0"]
+
+
+def test_stream_cached_matches_recorded_digest():
+    # The benchmark's stream_cached pass at seed 0: a depth-4 U-Net at cache
+    # level 1 under n5, over 500 frames of a 48x48 pan. The digest hashes
+    # each frame's output, refresh flag and FLOPs, so a change to how cached
+    # frames run fails here, not only in the benchmark.
+    reference = recorded_reference()["stream_cached"]["0"]
+    spec = set_unet_level(build_unet(4, 8, (6, 48, 48), seed=0), 1)
+    scene = SceneConfig(seed=0, height=48, width=48, pan_speed=1.0, base_cell=8)
+    report = run_sequence(spec, generate(scene, 500).frames, preset_policy("n5", 500))
+    digest = hashlib.sha256()
+    for rec in report.frames:
+        digest.update(rec.output.tobytes())
+        digest.update(b"R" if rec.refreshed else b"C")
+        digest.update(struct.pack("<q", rec.flops))
+    assert report.refresh_count == reference["refresh_count"]
+    assert digest.hexdigest() == reference["digest"]
 
 
 @pytest.mark.skipif(

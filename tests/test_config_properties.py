@@ -134,6 +134,7 @@ INVALID_FIELDS = [
     ("options.superres_tradeoff", {}, "reference_hw", int_field(1)),
     ("options.superres_tradeoff", {}, "small_input_scale", int_field(1)),
     ("options.superres_tradeoff", {}, "large_input_scale", int_field(1)),
+    ("options.superres_tradeoff", {"small_input_scale": 4}, "large_input_scale", st.integers(min_value=4)),
     ("options.superres_tradeoff", {}, "base_channels", int_field(1)),
     ("options.superres_tradeoff", {}, "lr_pool", int_field(0)),
     ("options.superres_tradeoff", {}, "policies", NOT_PRESETS),
@@ -250,8 +251,7 @@ def null_hypothesis_runs(draw):
 
 @st.composite
 def superres_tradeoff_runs(draw):
-    # The large input's scale is below the small one's: at equal scales
-    # the scenario's first check fails, so its body never runs.
+    # The options take only a large input's scale below the small one's.
     small = draw(st.integers(2, 4))
     large = draw(st.integers(1, small - 1))
     lr_pool = draw(st.integers(0, 2))

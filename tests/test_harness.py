@@ -6,6 +6,7 @@ repr round-tripping, the recomputed means must match bit for bit.
 """
 
 import csv
+import functools
 import gc
 import itertools
 import json
@@ -129,17 +130,17 @@ class TestPolicyOverrides:
 
     def test_default_preset_used(self):
         cfg = minimal_config()
-        assert harness._policy_from_config(cfg, 10, "n5") == EveryN(5)
+        assert harness._policy_from_config(cfg, 10) == EveryN(5)
 
     def test_preset_from_config(self):
         cfg = minimal_config(policy={"preset": "delta_h"})
-        assert harness._policy_from_config(cfg, 10, "n5") == DeltaSmape(tau=0.20)
+        assert harness._policy_from_config(cfg, 10) == DeltaSmape(tau=0.20)
 
     def test_field_overrides_applied(self):
         cfg = minimal_config(policy={"preset": "n5", "n": 3})
-        assert harness._policy_from_config(cfg, 10, "n5") == EveryN(3)
+        assert harness._policy_from_config(cfg, 10) == EveryN(3)
         cfg = minimal_config(policy={"preset": "delta_l", "tau": 0.35})
-        assert harness._policy_from_config(cfg, 10, "n5") == DeltaSmape(tau=0.35)
+        assert harness._policy_from_config(cfg, 10) == DeltaSmape(tau=0.35)
 
 
 class TestTables:
@@ -309,13 +310,17 @@ class TestSuperresTradeoffScenario:
             "rmse_full_ref_plus_cache=2.0)"
         ]
 
-    def test_failed_flops_check_reports_both_counts(self, tmp_path):
-        # Swapped scales: the "larger" input is the smaller one.
-        cfg = small_superres_config(small_input_scale=3, large_input_scale=4)
+    def test_failed_flops_check_reports_both_counts(self, tmp_path, monkeypatch):
+        # The options reject swapped scales, so the builder swaps the two
+        # input sizes instead: the 8x8 "larger" input gets the 6x6 network.
+        swapped = {(6, 6, 6): (6, 8, 8), (6, 8, 8): (6, 6, 6)}
+        monkeypatch.setattr(
+            harness, "build_superres", lambda shape, **kwargs: build_superres(swapped[shape], **kwargs)
+        )
         small = build_superres((6, 8, 8), base_channels=8, lr_pool=1).full_flops
         large = build_superres((6, 6, 6), base_channels=8, lr_pool=1).full_flops
         logs = []
-        assert run_scenarios(cfg, out_dir=tmp_path, log=logs.append) == 1
+        assert run_scenarios(small_superres_config(), out_dir=tmp_path, log=logs.append) == 1
         assert logs == [
             "[FAIL] superres_tradeoff: the larger input must cost more FLOPs per full frame "
             f"(large_flops={large}, small_flops={small})"
@@ -338,6 +343,19 @@ class TestPolicySweepScenario:
             "motion": 10,
             "nonlinear": 2,
         }
+
+    def test_network_built_through_the_module_binding(self, monkeypatch):
+        # A tracer replaces harness.build_unet; the scenario's one build
+        # must go through that binding.
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(kwargs)
+            return build_unet(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_unet", functools.wraps(build_unet)(counting_build))
+        scenario_policy_sweep(default_run_config("policy_sweep"))
+        assert len(calls) == 1
 
     def test_frame_rows_cover_every_policy(self):
         cfg = minimal_config(scenario="policy_sweep", frames=6)

@@ -566,73 +566,87 @@ class TestManualGraphs:
     """make_network_spec on hand-built graphs, including failure modes."""
 
     def make_chain(self):
-        blocks = [
-            Block("a", BlockId(KIND_BRANCH, 0, 0), ("none",), (identity_conv(3),)),
-            Block("b", BlockId(KIND_BRANCH, 0, 1), ("none",), (identity_conv(3),)),
+        return [
+            Block("a", BlockId(KIND_BRANCH, 0, 0), ((INPUT, "none"),), (identity_conv(3),)),
+            Block("b", BlockId(KIND_BRANCH, 0, 1), (("a", "none"),), (identity_conv(3),)),
         ]
-        edges = [Edge(INPUT, "a", 0), Edge("a", "b", 0)]
-        return blocks, edges
 
     def test_identity_chain_preserves_input(self):
-        blocks, edges = self.make_chain()
-        spec = make_network_spec(blocks, edges, (3, 8, 8), "b")
+        spec = make_network_spec(self.make_chain(), (3, 8, 8), "b")
         x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 8, 8)).astype(np.float32)
         record = forward_full(spec, x)
         assert np.array_equal(record.output, x)
         assert record.flops_executed == 2 * conv_cost(1, 3, 3, 8, 8)
 
     def test_default_config_is_fully_live(self):
-        blocks, edges = self.make_chain()
-        spec = make_network_spec(blocks, edges, (3, 8, 8), "b")
+        spec = make_network_spec(self.make_chain(), (3, 8, 8), "b")
         assert spec.live_blocks == ("a", "b")
         assert spec.cache_config.cached_edges == frozenset()
         assert spec.cached_flops() == spec.full_flops
 
     def test_duplicate_names_rejected(self):
-        blocks, edges = self.make_chain()
-        blocks[1] = Block("a", BlockId(KIND_BRANCH, 0, 1), ("none",), (identity_conv(3),))
+        blocks = self.make_chain()
+        blocks[1] = Block("a", BlockId(KIND_BRANCH, 0, 1), ((INPUT, "none"),), (identity_conv(3),))
         with pytest.raises(ValueError, match="duplicate block name"):
-            make_network_spec(blocks, [Edge(INPUT, "a", 0)], (3, 8, 8), "a")
+            make_network_spec(blocks, (3, 8, 8), "a")
 
     def test_duplicate_ident_rejected(self):
-        blocks, edges = self.make_chain()
-        blocks[1] = Block("b", BlockId(KIND_BRANCH, 0, 0), ("none",), (identity_conv(3),))
+        blocks = self.make_chain()
+        blocks[1] = Block("b", BlockId(KIND_BRANCH, 0, 0), (("a", "none"),), (identity_conv(3),))
         with pytest.raises(ValueError, match="duplicate block id"):
-            make_network_spec(blocks, edges, (3, 8, 8), "b")
+            make_network_spec(blocks, (3, 8, 8), "b")
 
     def test_bad_edges_rejected(self):
-        blocks, edges = self.make_chain()
-        with pytest.raises(ValueError, match="unknown source"):
-            make_network_spec(blocks, edges + [Edge("ghost", "b", 0)], (3, 8, 8), "b")
-        with pytest.raises(ValueError, match="unknown destination"):
-            make_network_spec(blocks, edges + [Edge("a", "ghost", 0)], (3, 8, 8), "b")
-        with pytest.raises(ValueError, match="slot that does not exist"):
-            make_network_spec(blocks, edges + [Edge("a", "b", 1)], (3, 8, 8), "b")
+        # A block names its own slots, so only an unknown producer is left
+        # to reject.
+        blocks = self.make_chain()
+        blocks[1] = Block("b", BlockId(KIND_BRANCH, 0, 1), (("ghost", "none"),), (identity_conv(3),))
+        with pytest.raises(ValueError, match="edge ghost->b:0 references unknown source"):
+            make_network_spec(blocks, (3, 8, 8), "b")
+
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(ValueError, match="block a needs at least one input slot"):
+            Block("a", BlockId(KIND_BRANCH, 0, 0), (), (identity_conv(3),))
+
+    def test_unknown_slot_op_rejected(self):
+        with pytest.raises(ValueError, match="unknown slot op 'upsample4' on block a"):
+            Block("a", BlockId(KIND_BRANCH, 0, 0), ((INPUT, "upsample4"),), (identity_conv(3),))
+
+    def test_edges_follow_block_then_slot_order(self):
+        blocks = [
+            Block("a", BlockId(KIND_BRANCH, 0, 0), ((INPUT, "none"),), (identity_conv(3),)),
+            Block("b", BlockId(KIND_BRANCH, 0, 1), ((INPUT, "none"), ("a", "none")), (identity_conv(6),)),
+            Block("c", BlockId(KIND_BRANCH, 0, 2), (("b", "none"), ("a", "none")), (identity_conv(9),)),
+        ]
+        spec = make_network_spec(blocks, (3, 8, 8), "c")
+        assert [edge.name for edge in spec.edges] == [
+            "input->a:0",
+            "input->b:0",
+            "a->b:1",
+            "b->c:0",
+            "a->c:1",
+        ]
 
     def test_block_outside_the_output_cone_rejected(self):
         # Every block must feed the output, so no config can leave one idle.
-        blocks, edges = self.make_chain()
         with pytest.raises(ValueError, match=r"blocks \['b'\] do not feed output block 'a'"):
-            make_network_spec(blocks, edges, (3, 8, 8), "a")
+            make_network_spec(self.make_chain(), (3, 8, 8), "a")
 
     def test_unknown_output_rejected(self):
-        blocks, edges = self.make_chain()
         with pytest.raises(ValueError, match="output block"):
-            make_network_spec(blocks, edges, (3, 8, 8), "ghost")
+            make_network_spec(self.make_chain(), (3, 8, 8), "ghost")
 
     def test_bad_input_shape_rejected(self):
-        blocks, edges = self.make_chain()
         with pytest.raises(ValueError, match="bad input shape"):
-            make_network_spec(blocks, edges, (3, 8), "b")
+            make_network_spec(self.make_chain(), (3, 8), "b")
 
     def test_cycle_rejected(self):
         blocks = [
-            Block("a", BlockId(KIND_BRANCH, 0, 0), ("none", "none"), (identity_conv(6),)),
-            Block("b", BlockId(KIND_BRANCH, 0, 1), ("none",), (identity_conv(6),)),
+            Block("a", BlockId(KIND_BRANCH, 0, 0), ((INPUT, "none"), ("b", "none")), (identity_conv(6),)),
+            Block("b", BlockId(KIND_BRANCH, 0, 1), (("a", "none"),), (identity_conv(6),)),
         ]
-        edges = [Edge(INPUT, "a", 0), Edge("b", "a", 1), Edge("a", "b", 0)]
-        with pytest.raises(ValueError):
-            make_network_spec(blocks, edges, (3, 8, 8), "b")
+        with pytest.raises(ValueError, match="cycle"):
+            make_network_spec(blocks, (3, 8, 8), "b")
 
     def test_bad_block_kind_rejected(self):
         with pytest.raises(ValueError):
