@@ -34,15 +34,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic inter-frame layer-caching experiments.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    run = commands.add_parser("run", help="run scenarios from a JSON config")
-    run.add_argument("--config", required=True, help="path to a version-1 JSON run config")
-    run.add_argument("--out", default=None, help="output directory (overrides the config)")
-    run.add_argument("--seed", type=int, default=None, help="master seed (overrides the config)")
-    run.add_argument(
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="path to a version-1 JSON run config")
+    config.add_argument("--seed", type=int, default=None, help="master seed (overrides the config)")
+    config.add_argument(
         "--scenario",
         default=None,
-        help="run a single scenario (overrides the config; 'all' runs every scenario)",
+        help="a single scenario (overrides the config; 'all' selects every scenario)",
     )
+    run = commands.add_parser("run", parents=[config], help="run scenarios from a JSON config")
+    run.add_argument("--out", default=None, help="output directory (overrides the config)")
+    bench = commands.add_parser(
+        "bench", parents=[config], help="write each scenario's wall time and traced peak memory as JSON"
+    )
+    bench.add_argument("--out", required=True, help="path of the JSON file to write")
     return parser
 
 
@@ -57,6 +62,10 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.scenario is not None:
             cfg.scenario = args.scenario
+        if args.command == "bench":
+            from .bench import run_bench
+
+            return run_bench(cfg, args.out)
         return harness.run_scenarios(cfg, out_dir=args.out)
     except (OSError, ValueError) as err:
         print(f"framecache: {err}", file=sys.stderr)

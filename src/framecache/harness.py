@@ -77,6 +77,7 @@ __all__ = [
     "scenario_null_hypothesis",
     "scenario_policy_sweep",
     "scenario_superres_tradeoff",
+    "selected_scenarios",
     "write_tables",
 ]
 
@@ -1097,16 +1098,24 @@ SCENARIOS = {name: record.run for name, record in _SCENARIO_RECORDS.items()}
 SCENARIO_NAMES = tuple(SCENARIOS)
 
 
+def selected_scenarios(cfg: RunConfig) -> list[str]:
+    """The names of the scenarios cfg selects, in run order, once the
+    config is checked and each of them is prepared as it will run; a
+    config error raises ValueError here, before any scenario runs."""
+    validate_run_config(cfg)
+    names = list(SCENARIO_NAMES) if cfg.scenario == "all" else [cfg.scenario]
+    for name in names:
+        _prepare(cfg, name)
+    return names
+
+
 def run_scenarios(cfg: RunConfig, out_dir=None, log=print) -> int:
     """Run the configured scenario(s), write tables, return a CI exit code.
 
     A ScenarioError marks the run failed (exit 1) but later scenarios
     still execute so one CI run reports every broken scenario.
     """
-    validate_run_config(cfg)
-    names = list(SCENARIO_NAMES) if cfg.scenario == "all" else [cfg.scenario]
-    for name in names:
-        _prepare(cfg, name)
+    names = selected_scenarios(cfg)
     destination = Path(out_dir if out_dir is not None else cfg.out_dir)
     status = 0
     for name in names:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, most through real subprocesses;
-the table of rejected config fields calls cli.main in-process, and so
-does the check of the benchmark's stream pass against its digest."""
+the table of rejected config fields and the bench command call cli.main
+in-process, and so does the check of the benchmark's stream pass against
+its digest."""
 
 import hashlib
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framecache import cli
+from framecache import cli, harness
 from framecache.builders import build_unet, set_unet_level
 from framecache.cli import _THREAD_ENV_VARS
 from framecache.engine import run_sequence
@@ -152,6 +153,57 @@ class TestRunCommand:
         assert run_cli("run", "--config", str(config), "--out", str(out_b)).returncode == 0
         for name in ("policy_sweep_summary.csv", "policy_sweep_frames.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def small_suite_config(tmp_path):
+    """Every scenario at 4 frames, superres_tradeoff on a 24x24 reference."""
+    superres = {"reference_hw": 24, "lr_pool": 1}
+    return write_config(tmp_path, frames=4, options={"superres_tradeoff": superres})
+
+
+class TestBenchCommand:
+    """The bench subcommand, in-process on a small config."""
+
+    def test_writes_environment_and_one_entry_per_scenario(self, tmp_path, monkeypatch, capsys):
+        config = small_suite_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        status = cli.main(["bench", "--config", str(config), "--out", "BENCH.json", "--seed", "2"])
+        assert status == 0, capsys.readouterr().err
+        result = json.loads((tmp_path / "BENCH.json").read_text())
+        assert set(result) == {"environment", "seed", "scenarios"}
+        assert result["seed"] == 2
+        environment = result["environment"]
+        assert set(environment) == {
+            "python", "numpy", "blas", "blas_core", "blas_threads", "pythonhashseed", "git_commit"
+        }
+        assert environment["numpy"] == np.__version__
+        assert list(result["scenarios"]) == list(harness.SCENARIO_NAMES)
+        for entry in result["scenarios"].values():
+            assert set(entry) == {"status", "wall_s", "tracemalloc_peak_bytes"}
+            assert entry["status"] == "pass"
+            assert entry["wall_s"] > 0.0
+            assert isinstance(entry["tracemalloc_peak_bytes"], int)
+        assert result["scenarios"]["null_hypothesis"]["tracemalloc_peak_bytes"] > 0
+        # No table is written, neither to --out nor to the config's out_dir.
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCH.json", "run.json"]
+
+    def test_failed_scenario_recorded_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        def boom(cfg):
+            raise harness.ScenarioError("forced failure")
+
+        monkeypatch.setitem(harness.SCENARIOS, "memory_report", boom)
+        config = write_config(tmp_path, scenario="memory_report")
+        out = tmp_path / "BENCH.json"
+        assert cli.main(["bench", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == "[FAIL] memory_report: forced failure\n"
+        assert json.loads(out.read_text())["scenarios"]["memory_report"]["status"] == "fail"
+
+    def test_bad_config_exits_2_before_measuring(self, tmp_path, capsys):
+        config = write_config(tmp_path, frames=0)
+        out = tmp_path / "BENCH.json"
+        assert cli.main(["bench", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("framecache: frames must be")
+        assert not out.exists()
 
 
 class TestErrorHandling:
