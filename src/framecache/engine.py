@@ -9,9 +9,12 @@ how the sanity study replaces the cache with zeros, random values or
 additive noise.
 
 A full-pass memo (full_passes) holds one read-only full pass per frame
-for a network shared by several cache configurations. Handed to
-run_sequence, it supplies the refresh frames' outputs and edge tensors,
-which criterion 01 makes bit-identical to running forward_full again.
+for a network shared by several cache configurations: every frame's
+output, and edge tensors on the frames it is asked to keep them for,
+which refresh_frames can name ahead of the runs because a policy never
+reads the network's outputs. Handed to run_sequence, the memo supplies
+the refresh frames' outputs and edge tensors, which criterion 01 makes
+bit-identical to running forward_full again.
 """
 
 import math
@@ -41,6 +44,7 @@ __all__ = [
     "cache_bytes_report",
     "corrupt_cache",
     "full_passes",
+    "refresh_frames",
     "run_sequence",
 ]
 
@@ -149,8 +153,9 @@ class FullPasses:
     """Read-only full passes of one network over one frame sequence.
 
     blocks identifies the network; inputs[i] is frame i's input array and
-    records[i] its full pass, whose edge_tensors hold every edge cached by
-    any of the specs the memo was built for.
+    records[i] its full pass. On a kept frame, the record's edge_tensors
+    hold every edge cached by any of the specs the memo was built for; on
+    any other frame they are empty.
     """
 
     blocks: dict
@@ -162,13 +167,16 @@ class FullPasses:
         return [record.output for record in self.records]
 
 
-def full_passes(specs, frames) -> FullPasses:
+def full_passes(specs, frames, keep=None) -> FullPasses:
     """Run one full pass per frame for specs sharing one network.
 
     specs differ only in their cache configuration (set_unet_level and
-    replace_cache_config share blocks); each pass records the union of
-    their cached edges. Outputs and edge tensors are made read-only so no
-    run can change what a later run reads.
+    replace_cache_config share blocks). The pass of a frame whose index is
+    in keep records the union of their cached edges, and every other pass
+    records none; keep None keeps every frame. Only a run's refresh frames
+    read edge tensors, so a memo kept on the union of its runs' refresh
+    frames serves them all. Outputs and edge tensors are made read-only so
+    no run can change what a later run reads.
     """
     specs = list(specs)
     if not specs:
@@ -178,9 +186,9 @@ def full_passes(specs, frames) -> FullPasses:
         raise ValueError("full_passes needs specs that share one network's blocks")
     edges = frozenset().union(*(spec.cache_config.cached_edges for spec in specs))
     inputs, records = [], []
-    for frame in frames:
+    for index, frame in enumerate(frames):
         x = frame.input
-        record = forward_full(specs[0], x, edges=edges)
+        record = forward_full(specs[0], x, edges=edges if keep is None or index in keep else ())
         record.output.setflags(write=False)
         for tensor in record.edge_tensors.values():
             tensor.setflags(write=False)
@@ -228,6 +236,9 @@ def run_sequence(
                 if frame.input is not memo.inputs[index]:
                     raise ValueError(f"frame {index} input is not the memo's input")
                 result = memo.records[index]
+                missing = [name for name in spec.cache_config.cached_edges if name not in result.edge_tensors]
+                if missing:
+                    raise ValueError(f"the memo keeps no edge tensors {sorted(missing)} for refresh frame {index}")
             # The order _execute records edges in, so corruption draws in
             # the same order with or without the memo.
             entries = {name: result.edge_tensors[name] for name in spec.cache_config.cached_edges}
@@ -255,6 +266,24 @@ def run_sequence(
     )
 
 
+def refresh_frames(policy: RefreshPolicy, frames) -> tuple[int, ...]:
+    """The indices of the frames run_sequence refreshes under policy.
+
+    Steps the policy over the frames exactly as run_sequence does, without
+    running a network: a policy's decisions read the frame index, the
+    inputs and the motion, never the outputs.
+    """
+    frame_list = list(frames)
+    state = initial_state(policy, len(frame_list))
+    indices = []
+    for index, frame in enumerate(frame_list):
+        refreshed = should_refresh(policy, state, policy_metric(policy, state, frame))
+        if refreshed:
+            indices.append(index)
+        record_result(policy, state, frame, refreshed)
+    return tuple(indices)
+
+
 def baseline_outputs(spec: NetworkSpec, frames) -> list[np.ndarray]:
     """Full-network outputs for every frame (the no-cache reference)."""
-    return full_passes([spec], frames).outputs
+    return full_passes([spec], frames, keep=()).outputs

@@ -52,6 +52,7 @@ from .engine import (
     Corruption,
     cache_bytes_report,
     full_passes,
+    refresh_frames,
     run_sequence,
 )
 from .metrics import SSIM_WINDOW, aggregate, mse, prepare_references
@@ -797,8 +798,6 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     corruption_seed = opts.corruption_seed
     policy = _policy_from_config(cfg, frames)
     sequence = generate(scene, frames)
-    memo = full_passes([spec], sequence)
-    baseline = prepare_references(memo.outputs)
 
     modes: list[tuple[str, Corruption | None]] = [
         ("proper", None),
@@ -816,6 +815,12 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     ]
     runs = [(label, policy, corruption) for label, corruption in modes]
     runs.append(("no_update", preset_policy("no_update", frames), None))
+    # Only refresh frames read the memo's edge tensors, so it keeps them on
+    # the frames some run refreshes and drops them on the others.
+    policies = dict.fromkeys(run_policy for _, run_policy, _ in runs)
+    keep = set().union(*(refresh_frames(run_policy, sequence) for run_policy in policies))
+    memo = full_passes([spec], sequence, keep)
+    baseline = prepare_references(memo.outputs)
 
     summary_rows, frame_rows = [], []
     means: dict[str, float] = {}
@@ -875,43 +880,40 @@ def _downscale_frame(frame: FrameInput, factor: int) -> FrameInput:
 
 
 def _stream_reference(scene: SceneConfig, frame_count: int, factors):
-    """Walk a scene one frame at a time, keeping a copy of each frame's
-    colour channels and its _downscale_frame at each factor; no
-    full-resolution frame is alive once this returns. Returns the colour
-    list and one frame list per factor.
+    """Walk a reference scene one frame at a time, keeping only each
+    frame's _downscale_frame at each factor; no full-resolution frame is
+    alive once this returns. Returns one frame list per factor.
     """
-    colours, scaled = [], [[] for _ in factors]
+    scaled = [[] for _ in factors]
     for frame in iter_frames(scene, frame_count):
-        colours.append(frame.input[:3].copy())
         for frames, factor in zip(scaled, factors):
             frames.append(_downscale_frame(frame, factor))
-    return colours, scaled
+    return scaled
 
 
 def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     """Spend saved FLOPs on a bigger input: cache vs render scale.
 
-    One reference scene is streamed at high resolution, one frame at a
-    time: each frame is area-downscaled to both network inputs and only
-    its colour channels are kept as the reference, so no full-resolution
-    frame outlives its turn. Each row runs the same super-resolution
-    network on one of the downscaled sequences. A larger input (smaller
-    scale factor) costs more per frame, so the question is whether
-    caching at the larger input undercuts the total FLOPs of the
-    small-input no-cache baseline. The break-even skipped fraction is
-    computed from per-frame FLOPs and asserted against measured totals.
-    Output quality is measured against the reference color channels after
-    nearest upsampling back to reference resolution. Each frame's uncached
-    RMSE against the reference is computed once per scale, by the baseline
-    row, whose cache error is zero; the cached rows at that scale reuse it.
+    One reference scene is walked twice at high resolution, one frame at a
+    time, so no full-resolution frame outlives its turn. The first walk
+    area-downscales each frame to both network inputs and keeps only
+    those. Each row runs the same super-resolution network on one of the
+    downscaled sequences, and the downscaled frames are released once
+    every row has run. A larger input (smaller scale factor) costs more
+    per frame, so the question is whether caching at the larger input
+    undercuts the total FLOPs of the small-input no-cache baseline. The
+    break-even skipped fraction is computed from per-frame FLOPs and
+    asserted against measured totals. The second walk scores each frame:
+    every row's output, after nearest upsampling back to reference
+    resolution, against the frame's colour channels. Each frame's
+    uncached RMSE against the reference is computed once per scale, by the
+    baseline row, whose cache error is zero; the cached rows at that scale
+    reuse it, and the large baseline's upsampled output, against which
+    they measure their cache error. The checks then run row by row.
     """
     frames, opts, _, scene = _prepare(cfg, "superres_tradeoff")
     small_scale = opts.small_input_scale
     large_scale = opts.large_input_scale
-
-    reference, (small_frames, large_frames) = _stream_reference(
-        scene, frames, (small_scale, large_scale)
-    )
 
     def spec_for(scale: int):
         hw = opts.reference_hw // scale
@@ -930,34 +932,48 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
     flops_ratio = small_spec.full_flops / large_spec.full_flops
     break_even = (1.0 - flops_ratio) / (1.0 - live_fraction)
 
-    def run_row(scale, spec, frames_in, label, policy, uncached=None):
-        """One row's summary and frame rows, and its (outputs, per-frame
-        rmse_vs_reference). A baseline row (uncached None) refreshes every
-        frame, so it is its own uncached run; a cached row takes its
-        scale's baseline pair as uncached."""
-        report = run_sequence(spec, frames_in, policy)
-        rows = []
-        vs_ref, vs_full = [], []
+    # (label, scale, spec, policy, preset): the small baseline, the large
+    # baseline (rows[1]), then one cached large-input row per preset.
+    rows = [
+        (f"scale{small_scale}_baseline", small_scale, small_spec, EveryN(1), None),
+        (f"scale{large_scale}_baseline", large_scale, large_spec, EveryN(1), None),
+    ]
+    rows += [
+        (f"scale{large_scale}_{preset}", large_scale, large_spec, preset_policy(preset, frames), preset)
+        for preset in opts.policies
+    ]
+    scales = (small_scale, large_scale)
+    inputs = dict(zip(scales, _stream_reference(scene, frames, scales)))
+    reports = [run_sequence(spec, inputs[scale], policy) for _, scale, spec, policy, _ in rows]
+    del inputs
+
+    # vs_ref[r][i]: row r's frame i RMSE against the reference; vs_full[r][i]
+    # against the large baseline, 0 for a baseline row.
+    vs_ref = [[] for _ in rows]
+    vs_full = [[] for _ in rows]
+    for frame in iter_frames(scene, frames):
+        reference = frame.input[:3]
+        up_full = repeat_nearest(reports[1].frames[frame.index].output, large_scale)
+        for r, ((_, scale, _, _, preset), report) in enumerate(zip(rows, reports)):
+            up = up_full if r == 1 else repeat_nearest(report.frames[frame.index].output, scale)
+            vs_ref[r].append(math.sqrt(mse(up, reference)))
+            vs_full[r].append(0.0 if preset is None else math.sqrt(mse(up, up_full)))
+
+    summary_rows, frame_rows = [], []
+    for r, ((label, scale, spec, _, preset), report) in enumerate(zip(rows, reports)):
+        # A baseline is its own uncached run; a cached row's is the large baseline.
+        uncached = vs_ref[r] if preset is None else vs_ref[1]
         for rec in report.frames:
-            up = repeat_nearest(rec.output, scale)
-            rmse_ref = math.sqrt(mse(up, reference[rec.index]))
-            if uncached is None:
-                rmse_full_ref, rmse_cache = rmse_ref, 0.0
-            else:
-                full_outputs, full_rmse = uncached
-                rmse_full_ref = full_rmse[rec.index]
-                rmse_cache = math.sqrt(mse(up, repeat_nearest(full_outputs[rec.index], scale)))
+            rmse_ref, rmse_cache = vs_ref[r][rec.index], vs_full[r][rec.index]
             _require(
-                rmse_ref <= rmse_full_ref + rmse_cache + 1e-9,
+                rmse_ref <= uncached[rec.index] + rmse_cache + 1e-9,
                 "per-frame quality must stay within the uncached quality plus the cache error",
                 row=label,
                 frame=rec.index,
                 rmse_ref=rmse_ref,
-                rmse_full_ref_plus_cache=rmse_full_ref + rmse_cache,
+                rmse_full_ref_plus_cache=uncached[rec.index] + rmse_cache,
             )
-            vs_ref.append(rmse_ref)
-            vs_full.append(rmse_cache)
-            rows.append((label, rec.index, rec.refreshed, rec.flops, rmse_ref, rmse_cache))
+            frame_rows.append((label, rec.index, rec.refreshed, rec.flops, rmse_ref, rmse_cache))
         summary = (
             label,
             scale,
@@ -966,30 +982,13 @@ def scenario_superres_tradeoff(cfg: RunConfig) -> list[Table]:
             report.total_flops,
             spec.full_flops,
             break_even,
-            float(np.mean(np.asarray(vs_ref, dtype=np.float64))),
-            float(np.mean(np.asarray(vs_full, dtype=np.float64))),
-        )
-        return summary, rows, (report.outputs, vs_ref)
-
-    summary_rows, frame_rows = [], []
-    summary, rows, _ = run_row(small_scale, small_spec, small_frames, f"scale{small_scale}_baseline", EveryN(1))
-    baseline_total = summary[4]
-    summary_rows.append(summary)
-    frame_rows += rows
-    summary, rows, large_uncached = run_row(
-        large_scale, large_spec, large_frames, f"scale{large_scale}_baseline", EveryN(1)
-    )
-    summary_rows.append(summary)
-    frame_rows += rows
-    for preset in opts.policies:
-        policy = preset_policy(preset, frames)
-        summary, rows, _ = run_row(
-            large_scale, large_spec, large_frames, f"scale{large_scale}_{preset}", policy, large_uncached
+            float(np.mean(np.asarray(vs_ref[r], dtype=np.float64))),
+            float(np.mean(np.asarray(vs_full[r], dtype=np.float64))),
         )
         summary_rows.append(summary)
-        frame_rows += rows
         skipped = summary[3]
-        if skipped >= break_even:
+        if preset is not None and skipped >= break_even:
+            baseline_total = summary_rows[0][4]
             _require(
                 summary[4] < baseline_total,
                 f"{preset}: cached large-input total FLOPs must undercut the small-input baseline",

@@ -30,6 +30,7 @@ from framecache.engine import (
     cache_bytes_report,
     corrupt_cache,
     full_passes,
+    refresh_frames,
     run_sequence,
 )
 from framecache.metrics import aggregate
@@ -429,6 +430,50 @@ class TestFullPassMemo:
             run_sequence(spec, moved, EveryN(2), memo=memo)
         with pytest.raises(ValueError, match="share one network"):
             full_passes([spec, other], frames)
+
+    def test_kept_frames_alone_hold_edge_tensors(self):
+        specs, frames, whole = memo_case("unet")
+        memo = full_passes(specs, frames, keep={0, 3, 6})
+        assert [i for i, record in enumerate(memo.records) if record.edge_tensors] == [0, 3, 6]
+        for kept, full in zip(memo.records, whole.records, strict=True):
+            assert kept.output.tobytes() == full.output.tobytes()
+            if kept.edge_tensors:
+                assert list(kept.edge_tensors) == list(full.edge_tensors)
+        for spec in specs:
+            report = run_sequence(spec, frames, EveryN(3), memo=memo)
+            expected = run_sequence(spec, frames, EveryN(3), memo=whole)
+            assert [r.output.tobytes() for r in report.frames] == [r.output.tobytes() for r in expected.frames]
+
+    def test_refresh_frame_without_kept_edge_tensors_rejected(self):
+        specs, frames, _ = memo_case("unet")
+        memo = full_passes(specs, frames, keep={0, 3, 6})
+        with pytest.raises(ValueError, match="for refresh frame 2$"):
+            run_sequence(specs[0], frames, EveryN(2), memo=memo)
+
+    def test_baseline_outputs_keep_no_edge_tensors(self, monkeypatch):
+        recorded = []
+        forward_full = engine.forward_full
+
+        def recording(spec, x, edges=None):
+            recorded.append(tuple(edges))
+            return forward_full(spec, x, edges)
+
+        monkeypatch.setattr(engine, "forward_full", recording)
+        specs, frames, memo = memo_case("unet")
+        outputs = baseline_outputs(specs[0], frames)
+        assert recorded == [()] * MEMO_FRAMES
+        assert [o.tobytes() for o in outputs] == [o.tobytes() for o in memo.outputs]
+
+
+class TestRefreshFrames:
+    """refresh_frames steps a policy over the inputs as run_sequence does."""
+
+    @pytest.mark.parametrize("name", tuple(PRESETS))
+    def test_matches_run_sequence(self, name):
+        specs, frames, memo = memo_case("unet")
+        policy = preset_policy(name, MEMO_FRAMES)
+        report = run_sequence(specs[0], frames, policy, memo=memo)
+        assert refresh_frames(policy, frames) == tuple(rec.index for rec in report.frames if rec.refreshed)
 
 
 RUN_CASES = [("unet", 1), ("unet", 2), ("unet", 3), ("unetpp", "a"), ("unetpp", "b")]

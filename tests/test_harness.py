@@ -266,18 +266,47 @@ def small_superres_config(**options):
     )
 
 
+class TestNullHypothesisScenario:
+    def test_memo_keeps_edge_tensors_on_refreshed_frames_alone(self, monkeypatch):
+        memos = []
+        build = harness.full_passes
+
+        def capturing(*args, **kwargs):
+            memos.append(build(*args, **kwargs))
+            return memos[-1]
+
+        monkeypatch.setattr(harness, "full_passes", capturing)
+        tables = harness.scenario_null_hypothesis(minimal_config(scenario="null_hypothesis", frames=10))
+        (memo,) = memos
+        frame_table = tables[1]
+        refreshed = {
+            frame for frame, flag in zip(frame_table.column("frame"), frame_table.column("refreshed")) if flag
+        }
+        assert refreshed == {0, 5}
+        assert {i for i, record in enumerate(memo.records) if record.edge_tensors} == refreshed
+
+
 class TestSuperresTradeoffScenario:
     def test_no_full_frame_alive_once_the_scene_is_walked(self, monkeypatch):
         # Weak references to every array of each full-resolution frame the
-        # scene yields; the first run_sequence call (the small baseline)
-        # comes after the walk, and by then each must be gone.
-        refs, alive_at_first_run = [], []
+        # scene yields, over both walks, and of each downscaled frame. The
+        # first run_sequence call (the small baseline) comes after the first
+        # walk, and by then every full-resolution frame must be gone. The
+        # second walk scores the rows (the only mse calls): at each of them
+        # at most one full-resolution frame is alive, and no downscaled one.
+        refs, scaled_refs, alive_at_first_run, alive_while_scoring = [], [], [], []
         iter_frames, run_sequence = harness.iter_frames, harness.run_sequence
+        downscale_frame, score = harness._downscale_frame, harness.mse
 
         def recording_frames(scene, count):
             for frame in iter_frames(scene, count):
                 refs.extend([weakref.ref(frame.input), weakref.ref(frame.motion)])
                 yield frame
+
+        def recording_downscale(frame, factor):
+            scaled = downscale_frame(frame, factor)
+            scaled_refs.extend([weakref.ref(scaled.input), weakref.ref(scaled.motion)])
+            return scaled
 
         def checking_run(*args, **kwargs):
             if not alive_at_first_run:
@@ -285,21 +314,37 @@ class TestSuperresTradeoffScenario:
                 alive_at_first_run.append(sum(ref() is not None for ref in refs))
             return run_sequence(*args, **kwargs)
 
+        def checking_mse(a, b):
+            gc.collect()
+            alive_while_scoring.append(
+                (sum(ref() is not None for ref in refs), sum(ref() is not None for ref in scaled_refs))
+            )
+            return score(a, b)
+
         monkeypatch.setattr(harness, "iter_frames", recording_frames)
+        monkeypatch.setattr(harness, "_downscale_frame", recording_downscale)
         monkeypatch.setattr(harness, "run_sequence", checking_run)
+        monkeypatch.setattr(harness, "mse", checking_mse)
         tables = scenario_superres_tradeoff(small_superres_config())
-        assert len(refs) == 8
+        assert len(refs) == 16
+        assert len(scaled_refs) == 2 * 2 * 4
         assert alive_at_first_run == [0]
+        # Per frame: one mse per baseline row, two per cached row.
+        assert len(alive_while_scoring) == 4 * (2 + 2 * 3)
+        assert all(full <= 2 and scaled == 0 for full, scaled in alive_while_scoring)
         assert len(tables[1].rows) == 5 * 4
 
     def test_failed_quality_check_reports_its_numbers(self, tmp_path, monkeypatch):
-        # A baseline row takes mse(up, reference) per frame, and is its own
-        # uncached run, so its check cannot fail. A cached row takes
-        # mse(up, reference), then mse(up, up_full), and reuses the large
-        # baseline's rmse per frame. Cycling 9, 1, 1 over 4 + 4 baseline
-        # calls leaves the large baseline's rmse at [1, 1, 3, 1]; n5 passes,
-        # and delta_h's frame 1 gets rmse_ref 3 against 1 + 1.
-        values = itertools.cycle([9.0, 1.0, 1.0])
+        # The scoring walk takes, per frame, mse(up, reference) for each
+        # baseline row, then mse(up, reference) and mse(up, up_full) for
+        # each cached row: 8 calls per frame in the order small baseline,
+        # large baseline, n5, delta_h, delta_l. A baseline row is its own
+        # uncached run, so its check cannot fail; a cached row's uncached
+        # rmse is the large baseline's. Cycling 1, 9, 9, 1, 1 over those
+        # calls gives n5 rmse_ref 3, 1, 1, 3 against uncached 3, 1, 3, 1
+        # plus cache error 1, 3, 1, 3, which passes, and delta_h rmse_ref 1
+        # at frame 0, which passes, then 3 at frame 1 against 1 + 1.
+        values = itertools.cycle([1.0, 9.0, 9.0, 1.0, 1.0])
         monkeypatch.setattr(harness, "mse", lambda a, b: next(values))
         logs = []
         status = run_scenarios(small_superres_config(), out_dir=tmp_path, log=logs.append)
