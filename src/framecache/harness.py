@@ -24,8 +24,10 @@ those runs: it is their baseline and supplies their refresh frames, so
 each distinct full pass runs once per scenario. The memo's outputs are
 prepared as metrics references once per scenario, so each baseline
 frame's SSIM moments are computed once and a refresh frame is scored once
-across runs. superres_tradeoff keeps running its own passes, because a
-memo of its large network would raise the suite's peak memory.
+across runs. null_hypothesis, whose memo is the largest, keeps its edge
+tensors only on the frames its runs refresh. superres_tradeoff keeps
+running its own passes, because a memo of its large network would raise
+the suite's peak memory.
 """
 
 import csv
