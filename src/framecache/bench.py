@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness
+from . import harness, ops
 
 __all__ = ["environment", "run_bench"]
 
@@ -54,8 +54,30 @@ def _git_commit() -> str:
     return head + ("-dirty" if dirty else "")
 
 
+# Linux's description of the first CPU's caches, one index* directory each.
+_CPU0_CACHES = Path("/sys/devices/system/cpu/cpu0/cache")
+_SIZE_UNITS = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
+
+
+def _l2_cache_bytes() -> int | str:
+    """The size in bytes of the first CPU's level-2 cache, which is one
+    core's own on the hosts tried, or "unknown" where it cannot be read."""
+    for index in sorted(_CPU0_CACHES.glob("index*")):
+        try:
+            if (index / "level").read_text().strip() != "2":
+                continue
+            size = (index / "size").read_text().strip()
+            if size[-1:] in _SIZE_UNITS:
+                return int(size[:-1]) * _SIZE_UNITS[size[-1]]
+            return int(size)
+        except (OSError, ValueError):
+            continue
+    return "unknown"
+
+
 def environment() -> dict:
-    """Interpreter, numpy, BLAS, thread count, hash seed and commit."""
+    """Interpreter, numpy, BLAS, thread count, L2 cache size, conv2d's
+    band budget, hash seed and commit."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     core = _openblas("get_corename", ctypes.c_char_p)
     threads = _openblas("get_num_threads", ctypes.c_int)
@@ -65,6 +87,8 @@ def environment() -> dict:
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
         "blas_core": core.decode() if core is not None else "unknown",
         "blas_threads": threads,
+        "l2_cache_bytes": _l2_cache_bytes(),
+        "band_bytes": ops._BAND_BYTES,
         "pythonhashseed": os.environ.get("PYTHONHASHSEED"),
         "git_commit": _git_commit(),
     }

@@ -14,20 +14,33 @@ of the expanded input instead of two. The float64 operands of the product
 are the same as a per-call cast of the weights and of a float32 im2col
 matrix would give.
 
-conv2d builds the im2col matrix one band of output rows at a time, sized
-by _BAND_BYTES to stay in a core's L2 cache between the copy that fills
-it and the product that reads it, and multiplies each band into its
-columns of the result. Every output is still the same K-long dot product
-of the same float64 operands. When a map needs more than one band, the
-band height is rounded down to a row count whose columns are a multiple
-of 8, but not below the least such count, so every band starts at a
-multiple of 8 columns; a map that fits in one band stays one whole
-product. On the SkylakeX, Haswell, Sandybridge, Prescott and Katmai
-OpenBLAS kernels, such bands matched the whole product's float64 columns
-bit for bit at every map width tried, 5 to 48; unaligned bands did not.
-The Nehalem kernel still moved some 24- and 48-wide bands by an ulp.
-The float32 rounding absorbed every such move the tests met, but that is
-measured, not guaranteed.
+conv2d builds the im2col matrix one band of output rows at a time and
+multiplies each band into its columns of the result. _BAND_BYTES, 512 KiB,
+sizes the bands for a core's L2 cache, which holds both the band, between
+the copy that fills it and the product that reads it, and the copy of the
+band that BLAS packs for its product; at 1 MiB the two filled the 2 MiB L2
+of the Xeon the budget was tuned on. On that host the budget also keeps
+nearly every band within the size, 10^6 multiply-adds, up to which the
+SkylakeX OpenBLAS kernel multiplies without packing. SWEEP The budget is a
+constant, never read from the host, so band heights, and with them output
+bytes, depend on config and seed alone.
+
+Every output is still the same K-long dot product of the same float64
+operands. When a map needs more than one band, the band height is rounded
+down to a row count whose columns are a multiple of 8, but not below the
+least such count, so every band starts at a multiple of 8 columns; a map
+that fits in one band stays one whole product. On the SkylakeX, Haswell,
+Sandybridge, Prescott and Katmai OpenBLAS kernels, such bands matched the
+whole product's float64 columns bit for bit at every map width tried, 5
+to 48; unaligned bands did not. Two exceptions are known. The Nehalem
+kernel moved some other heights of 24- and 48-wide maps by an ulp, though
+none that the default networks use at this budget. And on SkylakeX a band
+within the unpacked size sums all K terms in one pass, where a larger
+product sums them in blocks of 384, so where K exceeds 384 its columns can
+differ from the whole product's: the 6-row bands of the default U-Net's
+48->16 convolution at 24x24 (K 432) do. The float32 rounding absorbed
+every such move the tests and the golden check met, but that is measured,
+not guaranteed.
 """
 
 import math
@@ -132,9 +145,11 @@ def conv_output_hw(params: ConvParams, height: int, width: int) -> tuple[int, in
 
 
 # Bytes of float64 im2col matrix built and multiplied at a time: small
-# enough for a band to stay in a core's L2 cache between the copy that
-# fills it and the product that reads it.
-_BAND_BYTES = 1 << 20
+# enough for a band and the copy of it that BLAS packs for its product to
+# share a core's L2 cache between the copy that fills the band and the
+# product that reads it. A constant, never read from the host, so band
+# heights, and with them output bytes, depend on config and seed alone.
+_BAND_BYTES = 1 << 19
 
 
 def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:

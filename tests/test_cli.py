@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framecache import cli, harness
+from framecache import bench, cli, harness, ops
 from framecache.builders import build_unet, set_unet_level
 from framecache.cli import _THREAD_ENV_VARS
 from framecache.engine import run_sequence
@@ -174,9 +174,11 @@ class TestBenchCommand:
         assert result["seed"] == 2
         environment = result["environment"]
         assert set(environment) == {
-            "python", "numpy", "blas", "blas_core", "blas_threads", "pythonhashseed", "git_commit"
+            "python", "numpy", "blas", "blas_core", "blas_threads", "l2_cache_bytes", "band_bytes",
+            "pythonhashseed", "git_commit",
         }
         assert environment["numpy"] == np.__version__
+        assert environment["band_bytes"] == ops._BAND_BYTES
         assert list(result["scenarios"]) == list(harness.SCENARIO_NAMES)
         for entry in result["scenarios"].values():
             assert set(entry) == {"status", "wall_s", "tracemalloc_peak_bytes"}
@@ -186,6 +188,19 @@ class TestBenchCommand:
         assert result["scenarios"]["null_hypothesis"]["tracemalloc_peak_bytes"] > 0
         # No table is written, neither to --out nor to the config's out_dir.
         assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCH.json", "run.json"]
+
+    def test_l2_cache_size_read_from_level_2_entry(self, tmp_path, monkeypatch):
+        for index, (level, size) in enumerate([("1", "48K"), ("2", "2048K"), ("3", "105M")]):
+            entry = tmp_path / f"index{index}"
+            entry.mkdir()
+            (entry / "level").write_text(level + "\n")
+            (entry / "size").write_text(size + "\n")
+        monkeypatch.setattr(bench, "_CPU0_CACHES", tmp_path)
+        assert bench.environment()["l2_cache_bytes"] == 2048 * 1024
+
+    def test_l2_cache_size_unknown_where_unreadable(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench, "_CPU0_CACHES", tmp_path / "missing")
+        assert bench.environment()["l2_cache_bytes"] == "unknown"
 
     def test_failed_scenario_recorded_and_exits_1(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
@@ -499,26 +514,44 @@ def recorded_reference() -> dict:
     return reference
 
 
+def dynamic_arch() -> bool:
+    """Whether numpy's OpenBLAS can be made to load another core's kernels."""
+    return "DYNAMIC_ARCH" in blas_build().get("openblas configuration", "")
+
+
 class TestThreadIndependence:
-    """Scenario tables do not depend on the BLAS thread count, and at one
-    thread they match the benchmark's recorded digests."""
+    """Scenario tables do not depend on the BLAS thread count or, where the
+    BLAS can switch cores, on its kernel, and at one thread they match the
+    benchmark's recorded digests."""
 
     @pytest.fixture(scope="class")
-    def tables(self, tmp_path_factory):
+    def runs(self, tmp_path_factory):
+        # The one-thread run loads the host's own core. Where numpy's
+        # OpenBLAS is built with DYNAMIC_ARCH, the two-thread run also forces
+        # the Nehalem kernel, the one that moved some banded products by an
+        # ulp in float64, so the whole suite is checked on it at no added cost.
         tmp_path = tmp_path_factory.mktemp("threads")
         config = write_config(tmp_path)
-        return [
-            run_tables(config, tmp_path / f"threads{n}", pinned_env(FRAMECACHE_THREADS=n))[0]
-            for n in ("1", "2")
-        ]
+        forced = {"OPENBLAS_CORETYPE": "Nehalem", "OPENBLAS_VERBOSE": "2"} if dynamic_arch() else {}
+        runs = []
+        for n, extra in (("1", {}), ("2", forced)):
+            env = pinned_env(FRAMECACHE_THREADS=n)
+            env.pop("OPENBLAS_CORETYPE", None)
+            env.update(extra)
+            runs.append(run_tables(config, tmp_path / f"threads{n}", env))
+        return runs
 
-    def test_all_scenarios_identical_at_one_and_two_threads(self, tables):
-        assert len(tables[0]) == 10
-        assert tables[0] == tables[1]
+    def test_all_scenarios_identical_at_one_and_two_threads(self, runs):
+        assert len(runs[0][0]) == 10
+        assert runs[0][0] == runs[1][0]
 
-    def test_all_scenarios_match_recorded_digests(self, tables):
+    @pytest.mark.skipif(not dynamic_arch(), reason="needs an OpenBLAS built with DYNAMIC_ARCH")
+    def test_two_thread_run_loaded_the_forced_core(self, runs):
+        assert re.findall(r"^Core: (\w+)", runs[1][1], re.MULTILINE) == ["Nehalem"]
+
+    def test_all_scenarios_match_recorded_digests(self, runs):
         reference = recorded_reference()
-        digests = {name: hashlib.sha256(data).hexdigest() for name, data in tables[0].items()}
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in runs[0][0].items()}
         assert digests == reference["suite_default"]["0"]
 
 
@@ -540,10 +573,7 @@ def test_stream_cached_matches_recorded_digest():
     assert digest.hexdigest() == reference["digest"]
 
 
-@pytest.mark.skipif(
-    "DYNAMIC_ARCH" not in blas_build().get("openblas configuration", ""),
-    reason="needs an OpenBLAS built with DYNAMIC_ARCH",
-)
+@pytest.mark.skipif(not dynamic_arch(), reason="needs an OpenBLAS built with DYNAMIC_ARCH")
 def test_policy_sweep_identical_under_a_forced_blas_core(tmp_path):
     # policy_sweep's U-Net runs dec0 and dec1 in bands of output rows.
     config = write_config(tmp_path)

@@ -234,6 +234,19 @@ def conv_cases(draw):
     return _input_of_kind(rng, kind, (in_c, h, w)), params
 
 
+# The convolutions of TestConv2dMatchesSeedKernel.test_cached_frame_shapes,
+# with the number of bands each runs in under the module's own _BAND_BYTES.
+CACHED_FRAME_SHAPES = [
+    pytest.param(6, 8, 3, 1, 48, 2, id="6-8-3-1"),
+    pytest.param(8, 8, 3, 1, 48, 3, id="8-8-3-1"),
+    pytest.param(24, 8, 3, 1, 48, 8, id="24-8-3-1"),
+    pytest.param(8, 6, 1, 0, 48, 1, id="8-6-1-0"),
+    pytest.param(48, 16, 3, 1, 24, 4, id="48-16-3-1-24x24"),
+    pytest.param(40, 8, 3, 1, 48, 16, id="40-8-3-1-48x48"),
+    pytest.param(40, 8, 3, 1, 64, 32, id="40-8-3-1-64x64"),
+]
+
+
 class TestConv2dMatchesSeedKernel:
     """The kernel's float64 operands are unchanged, so outputs match bit for bit."""
 
@@ -261,31 +274,25 @@ class TestConv2dMatchesSeedKernel:
     @pytest.mark.parametrize("kind", ["contiguous", "view", "float64"])
     @pytest.mark.parametrize(
         "in_c,out_c,kernel,padding,size",
-        [
-            pytest.param(6, 8, 3, 1, 48, id="6-8-3-1"),
-            pytest.param(8, 8, 3, 1, 48, id="8-8-3-1"),
-            pytest.param(24, 8, 3, 1, 48, id="24-8-3-1"),
-            pytest.param(8, 6, 1, 0, 48, id="8-6-1-0"),
-            pytest.param(48, 16, 3, 1, 24, id="48-16-3-1-24x24"),
-            pytest.param(40, 8, 3, 1, 48, id="40-8-3-1-48x48"),
-            pytest.param(40, 8, 3, 1, 64, id="40-8-3-1-64x64"),
-        ],
+        [pytest.param(*case.values[:5], id=case.id) for case in CACHED_FRAME_SHAPES],
     )
     def test_cached_frame_shapes(self, in_c, out_c, kernel, padding, size, kind):
         # The five convolutions of a cached frame of the U-Net at level 1 on
         # 48x48 inputs: enc0 (6->8, 8->8), dec0 (24->8, 8->8), head (8->6,
         # 1x1); then banded convolutions of the default suite: the U-Net's
         # dec1 at 24x24 and the superres net's fuse at 48x48 and 64x64.
-        # 8->8 and dec0 run in 2 and 4 bands, the last three in 2, 7 and 13,
-        # with a shorter last band at 48x48 and 64x64.
+        # Under the module's budget all but the 1x1 head run in bands; enc0's
+        # 6->8 and the 8->8 convs end in a shorter band (25 + 23 and
+        # 18 + 18 + 12 rows).
         rng = np.random.default_rng(in_c * 100 + out_c)
         params = random_params(rng, in_c, out_c, kernel, padding=padding)
         assert_bitwise_seed_match(_input_of_kind(rng, kind, (in_c, size, size)), params)
 
 
-def band_columns(monkeypatch, x, params, budget_rows):
-    """conv2d's output under a budget of budget_rows output rows, and the
-    column count of each band product it made."""
+def band_columns(monkeypatch, x, params, budget_rows=None):
+    """conv2d's output under a budget of budget_rows output rows, or under
+    the module's own _BAND_BYTES if None, and the column count of each band
+    product it made."""
     out_w = conv_output_hw(params, x.shape[1], x.shape[2])[1]
     row_bytes = params.in_channels * params.kernel_h * params.kernel_w * out_w * 8
     columns = []
@@ -296,7 +303,8 @@ def band_columns(monkeypatch, x, params, budget_rows):
         return matmul(a, b, out=out)
 
     with monkeypatch.context() as patch:
-        patch.setattr(ops, "_BAND_BYTES", budget_rows * row_bytes)
+        if budget_rows is not None:
+            patch.setattr(ops, "_BAND_BYTES", budget_rows * row_bytes)
         patch.setattr(np, "matmul", recording)
         return conv2d(x, params), columns
 
@@ -316,6 +324,18 @@ class TestConv2dBandAlignment:
         assert len(columns) > 1 and sum(columns) == 20 * width
         assert all(count % 8 == 0 for count in columns[:-1])
         assert np.array_equal(banded.view(np.uint32), whole.view(np.uint32))
+
+    @pytest.mark.parametrize("in_c,out_c,kernel,padding,size,bands", CACHED_FRAME_SHAPES)
+    def test_band_plan_of_cached_frame_shapes(self, monkeypatch, in_c, out_c, kernel, padding, size, bands):
+        # Pins the module's budget (512 KiB): at 1 MiB the counts were 1, 2,
+        # 4, 1, 2, 7 and 13. Band heights decide which columns each BLAS
+        # call sums, so a new budget must pass the golden check again.
+        rng = np.random.default_rng(in_c * 100 + out_c)
+        params = random_params(rng, in_c, out_c, kernel, padding=padding)
+        x = rng.standard_normal((in_c, size, size)).astype(np.float32)
+        _, columns = band_columns(monkeypatch, x, params)
+        assert len(columns) == bands
+        assert sum(columns) == size * size
 
     def test_map_that_fits_stays_one_product(self, monkeypatch):
         rng = np.random.default_rng(6)
