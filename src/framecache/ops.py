@@ -21,9 +21,13 @@ the copy that fills it and the product that reads it, and the copy of the
 band that BLAS packs for its product; at 1 MiB the two filled the 2 MiB L2
 of the Xeon the budget was tuned on. On that host the budget also keeps
 nearly every band within the size, 10^6 multiply-adds, up to which the
-SkylakeX OpenBLAS kernel multiplies without packing. SWEEP The budget is a
-constant, never read from the host, so band heights, and with them output
-bytes, depend on config and seed alone.
+SkylakeX OpenBLAS kernel multiplies without packing. There, at one BLAS
+thread, 512 KiB made a cached 48x48 frame of the stream U-Net 10% faster
+than 1 MiB, and a refresh frame 9% faster, in ten alternated benchmark
+runs; in-process sweeps put 384 and 512 KiB ahead of 256, 768 and 1024
+KiB, and the default suite wrote the same bytes at each of them. The
+budget is a constant, never read from the host, so band heights, and
+with them output bytes, depend on config and seed alone.
 
 Every output is still the same K-long dot product of the same float64
 operands. When a map needs more than one band, the band height is rounded
