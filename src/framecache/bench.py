@@ -60,8 +60,8 @@ _SIZE_UNITS = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
 
 
 def _l2_cache_bytes() -> int | str:
-    """The size in bytes of the first CPU's level-2 cache, which is one
-    core's own on the hosts tried, or "unknown" where it cannot be read."""
+    """The size in bytes of the first CPU's level-2 cache as Linux reports
+    it, or "unknown" where it cannot be read."""
     for index in sorted(_CPU0_CACHES.glob("index*")):
         try:
             if (index / "level").read_text().strip() != "2":
