@@ -18,21 +18,21 @@ own acceptance checks can still fail it (exit 1).
 Summary tables are always derived from the same per-frame values emitted
 in the companion frame table, so CSV consumers can recompute every mean.
 
-Scenarios that score cached runs against a no-cache baseline build one
-full-pass memo per network (engine.full_passes) and share it between
-those runs: it is their baseline and supplies their refresh frames, so
-each distinct full pass runs once per scenario. The memo's outputs are
-prepared as metrics references once per scenario, so each baseline
-frame's SSIM moments are computed once and a refresh frame is scored once
-across runs. null_hypothesis, whose memo is the largest, keeps its edge
-tensors only on the frames its runs refresh. superres_tradeoff keeps
-running its own passes, because a memo of its large network would raise
-the suite's peak memory.
+Scenarios that score cached runs against a no-cache baseline list their
+runs, and _scored_runs runs and scores them on one full-pass memo per
+network (engine.full_passes): it is their baseline and supplies their
+refresh frames, so each distinct full pass runs once per scenario, and
+it keeps edge tensors only on the frames some run refreshes. Its outputs
+are prepared as metrics references once, so each baseline frame's SSIM
+moments are computed once and a refresh frame is scored once across
+runs. superres_tradeoff keeps running its own passes, because a memo of
+its large network would raise the suite's peak memory.
 """
 
 import csv
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import types
@@ -289,10 +289,21 @@ def _check_minimums(record, **least) -> None:
             raise ValueError(f"{key} must be >= {bound}, got {value!r}")
 
 
+def _repeated(items) -> list:
+    """The items that occur more than once, each once, in sorted order."""
+    items = list(items)
+    return sorted({item for item in items if items.count(item) > 1})
+
+
 def _check_presets(key: str, names) -> None:
+    """Each name is a policy preset, and none repeats: each one labels a
+    row of its own."""
     unknown = [name for name in names if name not in PRESETS]
     if unknown:
         raise ValueError(f"{key}: unknown policy presets {unknown}; pick from {tuple(PRESETS)}")
+    repeated = _repeated(names)
+    if repeated:
+        raise ValueError(f"{key}: repeated policy presets {repeated}")
 
 
 def _halvings(size: int) -> int:
@@ -331,16 +342,33 @@ class AblationLevelsOptions:
             )
 
 
+# The noise scales null_hypothesis always runs, labelled noise_0 and noise_1.
+_FIXED_NOISE_SCALES = (0.0, 1.0)
+
+
+def _noise_label(scale: float) -> str:
+    """The label of null_hypothesis' run with noise of sigma_scale scale."""
+    return f"noise_{scale:g}"
+
+
 @dataclass(frozen=True)
 class NullHypothesisOptions:
     """The seed of null_hypothesis' cache corruptions and the noise scales
-    it adds to the fixed 0 and 1."""
+    it adds to the fixed 0 and 1. Each scale's run is labelled
+    noise_<scale:g>, so no two scales, nor a scale and 0 or 1, may share
+    a label."""
 
     corruption_seed: int = 3
     noise_scales: tuple[float, ...] = (0.5, 2.0)
 
     def __post_init__(self):
         _check_minimums(self, corruption_seed=0, noise_scales=0)
+        repeated = _repeated(_noise_label(scale) for scale in _FIXED_NOISE_SCALES + self.noise_scales)
+        if repeated:
+            raise ValueError(
+                f"noise_scales must give run labels distinct from each other and from noise_0 "
+                f"and noise_1, got {self.noise_scales!r}, which repeat {repeated}"
+            )
 
 
 @dataclass(frozen=True)
@@ -624,44 +652,40 @@ _FRAME_COLUMNS = ("policy", "frame", "refreshed", "flops", "policy_metric", "mse
 _MEAN_MSE = _SUMMARY_COLUMNS.index("mean_mse")
 
 
-def _scored_run(label: str, spec, sequence, policy, memo, warmup: int, corruption=None, baseline=None):
-    """Run one sequence and score it against the no-cache baseline.
+def _scored_runs(runs, sequence, warmup: int):
+    """Run each (label, spec, policy, corruption) of runs on sequence and
+    score it against its network's no-cache baseline, in run order.
 
-    memo holds the full passes of spec's network over sequence: it feeds
-    the refresh frames and its outputs are the baseline. baseline is
-    prepare_references(memo.outputs), built once by the scenario and
-    shared by its runs so each baseline frame is prepared once and each
-    refresh frame scored once; without it this run prepares its own.
-    Returns the SequenceReport, its summary row (_SUMMARY_COLUMNS) and its
-    per-frame rows (_FRAME_COLUMNS).
+    Consecutive runs on one network (spec.blocks) share one full-pass
+    memo over sequence, built before the first of them and released after
+    the last. It keeps edge tensors only on the frames some of them
+    refresh, and its outputs, prepared as metrics references once, are
+    their baseline. Yields each run's SequenceReport, its summary row
+    (_SUMMARY_COLUMNS) and its per-frame rows (_FRAME_COLUMNS), so a
+    caller keeps only the reports it needs.
     """
-    report = run_sequence(spec, sequence, policy, corruption, memo=memo)
-    quality = aggregate(report, memo.outputs if baseline is None else baseline, warmup=warmup)
-    summary = (
-        label,
-        report.refresh_count,
-        report.skipped_frame_fraction,
-        report.eliminated_flops_fraction,
-        report.total_flops,
-        report.cache_bytes,
-        quality.mean_mse,
-        quality.psnr_of_mean_mse,
-        quality.mean_ssim,
-        quality.mean_smape,
-    )
-    frames = [
-        (
-            label,
-            rec.index,
-            rec.refreshed,
-            rec.flops,
-            rec.policy_metric,
-            quality.per_frame_mse[rec.index],
-            quality.per_frame_ssim[rec.index],
-        )
-        for rec in report.frames
-    ]
-    return report, summary, frames
+    for _, network_runs in itertools.groupby(runs, key=lambda run: id(run[1].blocks)):
+        network_runs = list(network_runs)
+        policies = dict.fromkeys(policy for _, _, policy, _ in network_runs)
+        keep = set().union(*(refresh_frames(policy, sequence) for policy in policies))
+        memo = full_passes([spec for _, spec, _, _ in network_runs], sequence, keep)
+        baseline = prepare_references(memo.outputs)
+        for label, spec, policy, corruption in network_runs:
+            report = run_sequence(spec, sequence, policy, corruption, memo=memo)
+            quality = aggregate(report, baseline, warmup=warmup)
+            summary = (
+                label, report.refresh_count, report.skipped_frame_fraction, report.eliminated_flops_fraction,
+                report.total_flops, report.cache_bytes, quality.mean_mse, quality.psnr_of_mean_mse,
+                quality.mean_ssim, quality.mean_smape,
+            )
+            frames = [
+                (label, rec.index, rec.refreshed, rec.flops, rec.policy_metric,
+                 quality.per_frame_mse[rec.index], quality.per_frame_ssim[rec.index])
+                for rec in report.frames
+            ]
+            yield report, summary, frames
+        # The next network's memo is built with this one released.
+        del memo, baseline
 
 
 # ---------------------------------------------------------------------------
@@ -677,16 +701,11 @@ def scenario_policy_sweep(cfg: RunConfig) -> list[Table]:
     """
     frames, opts, spec, scene = _prepare(cfg, "policy_sweep")
     sequence = generate(scene, frames)
-    memo = full_passes([spec], sequence)
-    baseline = prepare_references(memo.outputs)
+    runs = [(preset, spec, preset_policy(preset, frames), None) for preset in opts.presets]
     summary_rows, frame_rows = [], []
     counts: dict[str, int] = {}
-    for preset in opts.presets:
-        policy = preset_policy(preset, frames)
-        report, summary, per_frame = _scored_run(
-            preset, spec, sequence, policy, memo, cfg.warmup, baseline=baseline
-        )
-        counts[preset] = report.refresh_count
+    for report, summary, per_frame in _scored_runs(runs, sequence, cfg.warmup):
+        counts[summary[0]] = report.refresh_count
         summary_rows.append(summary)
         frame_rows += per_frame
     for preset, period in (("n5", 5), ("n2", 2)):
@@ -735,20 +754,13 @@ def scenario_ablation_levels(cfg: RunConfig) -> list[Table]:
     unet_specs = [apply(unet) for apply in _cache_settings("unet", opts.unet_depth).values()]
     # Config B's rows before config A's.
     unetpp_specs = [apply(unetpp) for apply in reversed(_cache_settings("unetpp", opts.unetpp_depth).values())]
-    variants = []
-    for family, specs in (("unet", unet_specs), ("unetpp", unetpp_specs)):
-        memo = full_passes(specs, sequence)
-        baseline = prepare_references(memo.outputs)
-        variants += [(family, spec, memo, baseline) for spec in specs]
+    runs = [(spec.cache_config.label, spec, policy, None) for spec in unet_specs + unetpp_specs]
 
     rows, frame_rows = [], []
     level_fracs, level_mse, config_fracs = [], [], {}
-    for family, spec, memo, baseline in variants:
-        label = spec.cache_config.label
+    for (label, spec, _, _), (_, summary, per_frame) in zip(runs, _scored_runs(runs, sequence, cfg.warmup)):
+        family = "unet" if spec.blocks is unet.blocks else "unetpp"
         frac = spec.cached_flops() / spec.full_flops
-        _, summary, per_frame = _scored_run(
-            label, spec, sequence, policy, memo, cfg.warmup, baseline=baseline
-        )
         rows.append((family, label, spec.full_flops, spec.cached_flops(), frac) + summary[1:])
         frame_rows += per_frame
         if family == "unet":
@@ -801,36 +813,20 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     policy = _policy_from_config(cfg, frames)
     sequence = generate(scene, frames)
 
-    modes: list[tuple[str, Corruption | None]] = [
-        ("proper", None),
-        ("noise_0", Corruption("noise", sigma_scale=0.0, seed=corruption_seed)),
-        ("noise_1", Corruption("noise", sigma_scale=1.0, seed=corruption_seed)),
-    ]
+    modes: list[tuple[str, Corruption | None]] = [("proper", None)]
     modes += [
-        (f"noise_{scale:g}", Corruption("noise", sigma_scale=scale, seed=corruption_seed))
-        for scale in opts.noise_scales
+        (_noise_label(scale), Corruption("noise", sigma_scale=scale, seed=corruption_seed))
+        for scale in _FIXED_NOISE_SCALES + opts.noise_scales
     ]
-    modes += [
-        ("zero", Corruption("zero", seed=corruption_seed)),
-        ("uniform_random", Corruption("uniform_random", seed=corruption_seed)),
-        ("normal_random", Corruption("normal_random", seed=corruption_seed)),
-    ]
-    runs = [(label, policy, corruption) for label, corruption in modes]
-    runs.append(("no_update", preset_policy("no_update", frames), None))
-    # Only refresh frames read the memo's edge tensors, so it keeps them on
-    # the frames some run refreshes and drops them on the others.
-    policies = dict.fromkeys(run_policy for _, run_policy, _ in runs)
-    keep = set().union(*(refresh_frames(run_policy, sequence) for run_policy in policies))
-    memo = full_passes([spec], sequence, keep)
-    baseline = prepare_references(memo.outputs)
+    modes += [(kind, Corruption(kind, seed=corruption_seed)) for kind in ("zero", "uniform_random", "normal_random")]
+    runs = [(label, spec, policy, corruption) for label, corruption in modes]
+    runs.append(("no_update", spec, preset_policy("no_update", frames), None))
 
     summary_rows, frame_rows = [], []
     means: dict[str, float] = {}
     outputs: dict[str, list[np.ndarray]] = {}
-    for label, run_policy, corruption in runs:
-        report, summary, per_frame = _scored_run(
-            label, spec, sequence, run_policy, memo, cfg.warmup, corruption, baseline
-        )
+    for report, summary, per_frame in _scored_runs(runs, sequence, cfg.warmup):
+        label = summary[0]
         summary_rows.append(summary)
         frame_rows += per_frame
         means[label] = summary[_MEAN_MSE]

@@ -341,6 +341,22 @@ class TestErrorHandling:
                 {"frames": 4, "options": {"superres_tradeoff": {"large_input_scale": 4}}},
                 "options.superres_tradeoff: large_input_scale must be less than small_input_scale 4, got 4",
             ),
+            # Run labels that would collide: two noise_0.5 rows and a second noise_1.
+            (
+                {"frames": 10, "options": {"null_hypothesis": {"noise_scales": [0.5, 0.5000001, 1.0000001]}}},
+                "options.null_hypothesis: noise_scales must give run labels distinct from each other and from "
+                "noise_0 and noise_1, got (0.5, 0.5000001, 1.0000001), which repeat ['noise_0.5', 'noise_1']",
+            ),
+            ({"options": {"null_hypothesis": {"noise_scales": [0]}}}, "repeat ['noise_0']"),
+            ({"options": {"null_hypothesis": {"noise_scales": [2, 2.0]}}}, "repeat ['noise_2']"),
+            (
+                {"options": {"policy_sweep": {"presets": ["n5", "n2", "n5"]}}},
+                "options.policy_sweep: presets: repeated policy presets ['n5']",
+            ),
+            (
+                {"options": {"superres_tradeoff": {"policies": ["n5", "n5"]}}},
+                "options.superres_tradeoff: policies: repeated policy presets ['n5']",
+            ),
         ],
     )
     def test_bad_field_rejected_before_any_scenario(self, tmp_path, capsys, monkeypatch, fields, named):

@@ -35,6 +35,8 @@ NOT_PRESETS = st.one_of(
     st.text(max_size=3),
     st.lists(st.integers(), min_size=1, max_size=2),
     st.lists(NOT_PRESET, min_size=1, max_size=2),
+    # A repeated preset would give two rows one label.
+    st.lists(st.sampled_from(sorted(PRESETS)), min_size=1, max_size=2).map(lambda names: names + names[:1]),
 )
 
 
@@ -129,6 +131,10 @@ INVALID_FIELDS = [
             st.lists(NOT_FLOAT, min_size=1, max_size=2),
             st.lists(st.floats(max_value=-0.01), min_size=1, max_size=2),
             st.lists(NOT_FINITE, min_size=1, max_size=2),
+            # Scales whose runs' labels, noise_<scale:g>, collide with each
+            # other or with the fixed noise_0 and noise_1.
+            st.floats(0, 4).map(lambda scale: [scale, float(f"{scale:g}")]),
+            st.sampled_from([[0], [1], [0.0], [1.0000001]]),
         ),
     ),
     ("options.superres_tradeoff", {}, "reference_hw", int_field(1)),
@@ -244,7 +250,12 @@ def null_hypothesis_runs(draw):
     network = draw(st.fixed_dictionaries({}, optional={"base_channels": st.integers(1, 6), "lr_pool": st.integers(0, 2)}))
     options = {
         "corruption_seed": draw(st.integers(0, 9)),
-        "noise_scales": draw(st.lists(st.floats(0, 4), max_size=2)),
+        # Each scale's run is labelled noise_<scale:g>, which must be new.
+        "noise_scales": draw(
+            st.lists(st.floats(0, 4), max_size=2, unique_by=lambda scale: f"{scale:g}").filter(
+                lambda scales: not {f"{scale:g}" for scale in scales} & {"0", "1"}
+            )
+        ),
     }
     return "null_hypothesis", {"network": network, "options": {"null_hypothesis": options}}
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import framecache.harness as harness
-from framecache.builders import build_superres, build_unet
+from framecache.builders import build_superres, build_unet, set_unet_level
 from framecache.engine import full_passes
 from framecache.harness import (
     RunConfig,
@@ -84,8 +84,8 @@ class TestRunConfigParsing:
 
     def test_option_values_take_their_defaults_json_type(self):
         # An integer may stand for a number, but nothing else for an integer.
-        cfg = minimal_config(options={"null_hypothesis": {"noise_scales": [1, 2.5]}})
-        assert cfg.options["null_hypothesis"]["noise_scales"] == [1, 2.5]
+        cfg = minimal_config(options={"null_hypothesis": {"noise_scales": [3, 2.5]}})
+        assert cfg.options["null_hypothesis"]["noise_scales"] == [3, 2.5]
         for value in (3.0, True, "3"):
             with pytest.raises(ValueError, match="options.ablation_levels.unet_depth"):
                 minimal_config(options={"ablation_levels": {"unet_depth": value}})
@@ -184,16 +184,19 @@ class TestTables:
         assert int(rows[1]["count"]) == 12
 
 
+def small_frames():
+    scene = SceneConfig(seed=2, channels=6, height=16, width=16, pan_speed=2.0, base_cell=8)
+    return generate(scene, 6).frames
+
+
 class TestScoredRun:
-    """Summary and per-frame rows of one sequence run scored against its baseline."""
+    """Summary and per-frame rows of sequence runs scored against their network's baseline."""
 
     def test_rows_match_report_and_baseline(self):
         spec = build_unet(2, 4, (6, 16, 16), seed=3)
-        scene = SceneConfig(seed=2, channels=6, height=16, width=16, pan_speed=2.0, base_cell=8)
-        frames = generate(scene, 6).frames
-        memo = full_passes([spec], frames)
-        baseline = memo.outputs
-        report, summary, frame_rows = harness._scored_run("n3", spec, frames, EveryN(3), memo, 0)
+        frames = small_frames()
+        baseline = full_passes([spec], frames).outputs
+        ((report, summary, frame_rows),) = harness._scored_runs([("n3", spec, EveryN(3), None)], frames, 0)
         summary = dict(zip(harness._SUMMARY_COLUMNS, summary))
         rows = [dict(zip(harness._FRAME_COLUMNS, row)) for row in frame_rows]
         assert [row["frame"] for row in rows] == list(range(6))
@@ -206,6 +209,43 @@ class TestScoredRun:
         assert summary["total_flops"] == sum(row["flops"] for row in rows)
         assert summary["eliminated_flops_fraction"] == 1.0 - summary["total_flops"] / (6 * spec.full_flops)
         assert summary["mean_mse"] == float(np.mean([row["mse"] for row in rows]))
+
+    def test_runs_on_two_networks_each_scored_against_their_own(self, monkeypatch):
+        memos, alive = [], []
+        build = harness.full_passes
+
+        def capturing(*args, **kwargs):
+            # Whether an earlier network's memo is still alive as this one is built.
+            gc.collect()
+            alive.append([ref() is not None for ref in memos])
+            memo = build(*args, **kwargs)
+            memos.append(weakref.ref(memo))
+            return memo
+
+        monkeypatch.setattr(harness, "full_passes", capturing)
+        frames = small_frames()
+        unet = build_unet(3, 4, (6, 16, 16), seed=3)
+        levels = [set_unet_level(unet, level) for level in (1, 2)]
+        other = build_unet(2, 4, (6, 16, 16), seed=5)
+        runs = [
+            ("level1_n3", levels[0], EveryN(3), None),
+            ("level2_n2", levels[1], EveryN(2), None),
+            ("other_n5", other, EveryN(5), None),
+        ]
+        kept = []
+        for run, (report, summary, frame_rows) in zip(runs, harness._scored_runs(runs, frames, 0)):
+            label, spec, _, _ = run
+            assert summary[0] == label
+            baseline = full_passes([spec], frames).outputs
+            for row, record in zip(frame_rows, report.frames):
+                assert row[harness._FRAME_COLUMNS.index("mse")] == mse(record.output, baseline[record.index])
+            memo = memos[-1]()
+            assert memo.blocks is spec.blocks
+            kept.append({i for i, record in enumerate(memo.records) if record.edge_tensors})
+            del memo
+        # EveryN(3) and EveryN(2) over 6 frames refresh {0, 3} and {0, 2, 4}; EveryN(5) {0, 5}.
+        assert kept == [{0, 2, 3, 4}, {0, 2, 3, 4}, {0, 5}]
+        assert alive == [[], [False]]
 
 
 class TestMemoryReportScenario:
@@ -267,7 +307,10 @@ def small_superres_config(**options):
 
 
 class TestNullHypothesisScenario:
-    def test_memo_keeps_edge_tensors_on_refreshed_frames_alone(self, monkeypatch):
+    # Each run of either scenario refreshes frames 0 and 5 of 10 (n5) or
+    # frame 0 alone (no_update); ablation_levels builds a memo per network.
+    @pytest.mark.parametrize("scenario, networks", [("null_hypothesis", 1), ("ablation_levels", 2)])
+    def test_memo_keeps_edge_tensors_on_refreshed_frames_alone(self, monkeypatch, scenario, networks):
         memos = []
         build = harness.full_passes
 
@@ -276,14 +319,15 @@ class TestNullHypothesisScenario:
             return memos[-1]
 
         monkeypatch.setattr(harness, "full_passes", capturing)
-        tables = harness.scenario_null_hypothesis(minimal_config(scenario="null_hypothesis", frames=10))
-        (memo,) = memos
+        tables = harness.SCENARIOS[scenario](minimal_config(scenario=scenario, frames=10))
+        assert len(memos) == networks
         frame_table = tables[1]
         refreshed = {
             frame for frame, flag in zip(frame_table.column("frame"), frame_table.column("refreshed")) if flag
         }
         assert refreshed == {0, 5}
-        assert {i for i, record in enumerate(memo.records) if record.edge_tensors} == refreshed
+        for memo in memos:
+            assert {i for i, record in enumerate(memo.records) if record.edge_tensors} == refreshed
 
 
 class TestSuperresTradeoffScenario:
@@ -436,9 +480,9 @@ class TestPolicySweepScenario:
         labels = []
         full_passes = harness.full_passes
 
-        def recording_full_passes(specs, sequence):
+        def recording_full_passes(specs, *args):
             labels.append(specs[0].cache_config.label)
-            return full_passes(specs, sequence)
+            return full_passes(specs, *args)
 
         monkeypatch.setattr(harness, "full_passes", recording_full_passes)
         cfg = minimal_config(
@@ -470,15 +514,15 @@ class TestFailedChecksReportTheirNumbers:
     def test_null_hypothesis_means(self, tmp_path, monkeypatch):
         # Each run's mean MSE replaced: 1-sigma noise only 1.5x the proper cache.
         means = {"proper": 0.5, "noise_1": 0.75}
-        scored_run = harness._scored_run
+        scored_runs = harness._scored_runs
 
-        def fixed_means(label, *args):
-            report, summary, frames = scored_run(label, *args)
-            summary = list(summary)
-            summary[harness._MEAN_MSE] = means.get(label, 100.0)
-            return report, tuple(summary), frames
+        def fixed_means(*args):
+            for report, summary, frames in scored_runs(*args):
+                summary = list(summary)
+                summary[harness._MEAN_MSE] = means.get(summary[0], 100.0)
+                yield report, tuple(summary), frames
 
-        monkeypatch.setattr(harness, "_scored_run", fixed_means)
+        monkeypatch.setattr(harness, "_scored_runs", fixed_means)
         cfg = minimal_config(scenario="null_hypothesis", frames=4)
         logs = []
         assert run_scenarios(cfg, out_dir=tmp_path, log=logs.append) == 1
