@@ -197,6 +197,18 @@ def full_passes(specs, frames, keep=None) -> FullPasses:
     return FullPasses(blocks=blocks, inputs=tuple(inputs), records=tuple(records))
 
 
+def _policy_steps(policy: RefreshPolicy, state: PolicyState, frame_list: list):
+    """Step the policy over the frames, yielding (index, frame, metric,
+    refreshed) for each. The state moves past a frame before it is yielded,
+    as decisions never read outputs; the next frame is read only when the
+    next step is asked for."""
+    for index, frame in enumerate(frame_list):
+        metric = policy_metric(policy, state, frame)
+        refreshed = should_refresh(policy, state, metric)
+        record_result(policy, state, frame, refreshed)
+        yield index, frame, metric, refreshed
+
+
 def run_sequence(
     spec: NetworkSpec,
     frames,
@@ -226,9 +238,7 @@ def run_sequence(
     entries: dict[str, np.ndarray] = {}
     records: list[FrameRecord] = []
     refresh_count = 0
-    for index, frame in enumerate(frame_list):
-        metric = policy_metric(policy, state, frame)
-        refreshed = should_refresh(policy, state, metric)
+    for index, frame, metric, refreshed in _policy_steps(policy, state, frame_list):
         if refreshed:
             if memo is None:
                 result = forward_full(spec, frame.input)
@@ -248,7 +258,6 @@ def run_sequence(
             refresh_count += 1
         else:
             result = forward_cached(spec, frame.input, entries)
-        record_result(policy, state, frame, refreshed)
         records.append(
             FrameRecord(
                 index=index,
@@ -275,13 +284,7 @@ def refresh_frames(policy: RefreshPolicy, frames) -> tuple[int, ...]:
     """
     frame_list = list(frames)
     state = initial_state(policy, len(frame_list))
-    indices = []
-    for index, frame in enumerate(frame_list):
-        refreshed = should_refresh(policy, state, policy_metric(policy, state, frame))
-        if refreshed:
-            indices.append(index)
-        record_result(policy, state, frame, refreshed)
-    return tuple(indices)
+    return tuple(index for index, _, _, refreshed in _policy_steps(policy, state, frame_list) if refreshed)
 
 
 def baseline_outputs(spec: NetworkSpec, frames) -> list[np.ndarray]:

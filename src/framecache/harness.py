@@ -708,8 +708,11 @@ def scenario_policy_sweep(cfg: RunConfig) -> list[Table]:
         counts[summary[0]] = report.refresh_count
         summary_rows.append(summary)
         frame_rows += per_frame
-    for preset, period in (("n5", 5), ("n2", 2)):
+    # Expected counts come from the preset table itself, not from the
+    # policies the runs were handed, so a run given another policy fails.
+    for preset in ("n5", "n2"):
         if preset in counts:
+            period = PRESETS[preset](frames).n
             expected = math.ceil(frames / period)
             _require(
                 counts[preset] == expected,
@@ -725,7 +728,8 @@ def scenario_policy_sweep(cfg: RunConfig) -> list[Table]:
             delta_l=counts["delta_l"],
         )
     if "nonlinear" in counts:
-        expected = len(power_schedule(max(1, math.ceil(frames / 5)), 1.4, frames))
+        schedule = PRESETS["nonlinear"](frames)
+        expected = len(power_schedule(schedule.refresh_count, schedule.exponent, frames))
         _require(
             counts["nonlinear"] == expected,
             "nonlinear count must match its schedule",

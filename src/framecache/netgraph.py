@@ -159,37 +159,21 @@ def _toposort(blocks: dict[str, Block]) -> tuple[str, ...]:
     return tuple(order)
 
 
-def _slot_shape(op: str, shape: tuple[int, int, int], where: str) -> tuple[int, int, int]:
+def _op_shape(op: ConvParams | str, shape: tuple[int, int, int], where: str) -> tuple[int, int, int]:
+    """The shape a slot or block op makes of shape; where names the edge or
+    block in error messages."""
     c, h, w = shape
+    if isinstance(op, ConvParams):
+        if c != op.in_channels:
+            raise ValueError(f"{where}: conv expects {op.in_channels} channels, has {c}")
+        return (op.out_channels, *conv_output_hw(op, h, w))
     if op == "maxpool2":
         if h % 2 or w % 2:
             raise ValueError(f"{where}: maxpool2 needs even dims, got {h}x{w}")
         return (c, h // 2, w // 2)
     if op == "upsample2":
         return (c, 2 * h, 2 * w)
-    return shape
-
-
-def _ops_shape_flops(block: Block, shape: tuple[int, int, int]) -> tuple[tuple[int, int, int], int]:
-    c, h, w = shape
-    flops = 0
-    for op in block.ops:
-        if isinstance(op, ConvParams):
-            if c != op.in_channels:
-                raise ValueError(
-                    f"block {block.name}: conv expects {op.in_channels} channels, has {c}"
-                )
-            h, w = conv_output_hw(op, h, w)
-            c = op.out_channels
-            flops += conv_flops(op, h, w)
-        elif op == "maxpool2":
-            if h % 2 or w % 2:
-                raise ValueError(f"block {block.name}: maxpool2 needs even dims, got {h}x{w}")
-            h, w = h // 2, w // 2
-        elif op == "upsample2":
-            h, w = 2 * h, 2 * w
-        # relu keeps the shape
-    return (c, h, w), flops
+    return shape  # "none" and "relu"
 
 
 def _infer_shapes(
@@ -202,15 +186,20 @@ def _infer_shapes(
     for name in order:
         block = blocks[name]
         slot_shapes = [
-            _slot_shape(slot_op, input_shape if src == INPUT else shapes[src], f"edge {edge.name}")
+            _op_shape(slot_op, input_shape if src == INPUT else shapes[src], f"edge {edge.name}")
             for (src, slot_op), edge in zip(block.inputs, block.edges)
         ]
         hw = slot_shapes[0][1:]
         for s in slot_shapes[1:]:
             if s[1:] != hw:
                 raise ValueError(f"block {name}: concat spatial mismatch {s[1:]} vs {hw}")
-        merged = (sum(s[0] for s in slot_shapes), hw[0], hw[1])
-        shapes[name], flops[name] = _ops_shape_flops(block, merged)
+        shape = (sum(s[0] for s in slot_shapes), hw[0], hw[1])
+        flops[name] = 0
+        for op in block.ops:
+            shape = _op_shape(op, shape, f"block {name}")
+            if isinstance(op, ConvParams):
+                flops[name] += conv_flops(op, shape[1], shape[2])
+        shapes[name] = shape
     return shapes, flops
 
 
@@ -303,7 +292,8 @@ class ForwardRecord:
     """Result of one forward pass.
 
     edge_tensors holds the producer-side tensor for every recorded edge
-    (full passes only).
+    (full passes only); flops_executed sums the spec's block_flops over
+    executed_blocks.
     """
 
     output: np.ndarray
@@ -312,27 +302,18 @@ class ForwardRecord:
     executed_blocks: tuple[str, ...] = ()
 
 
-def _run_ops(block: Block, x: np.ndarray) -> tuple[np.ndarray, int]:
-    flops = 0
-    for op in block.ops:
-        if isinstance(op, ConvParams):
-            x = conv2d(x, op)
-            flops += conv_flops(op, x.shape[1], x.shape[2])
-        elif op == "relu":
-            x = relu(x)
-        elif op == "maxpool2":
-            x = maxpool2(x)
-        else:
-            x = upsample_nearest2(x)
-    return x, flops
-
-
-def _apply_slot_op(op: str, x: np.ndarray) -> np.ndarray:
-    if op == "none":
-        return x
+def _apply(op: ConvParams | str, x: np.ndarray) -> np.ndarray:
+    """Run one slot or block op through this module's bindings of the ops,
+    so a caller that rebinds them sees every call."""
+    if isinstance(op, ConvParams):
+        return conv2d(x, op)
+    if op == "relu":
+        return relu(x)
     if op == "maxpool2":
         return maxpool2(x)
-    return upsample_nearest2(x)
+    if op == "upsample2":
+        return upsample_nearest2(x)
+    return x  # "none"
 
 
 def _is_encoder(ident: BlockId) -> bool:
@@ -349,7 +330,6 @@ def _execute(
     if x.shape != spec.input_shape:
         raise ValueError(f"input shape {x.shape} does not match spec {spec.input_shape}")
     computed: dict[str, np.ndarray] = {INPUT: x}
-    flops = 0
     for name in names:
         block = spec.blocks[name]
         parts = []
@@ -367,14 +347,14 @@ def _execute(
                         f"cache entry for {edge.name} has shape {value.shape}, "
                         f"expected {expected}"
                     )
-            parts.append(_apply_slot_op(slot_op, value))
-        merged = parts[0] if len(parts) == 1 else concat_channels(parts)
-        out, block_flops = _run_ops(block, merged)
+            parts.append(_apply(slot_op, value))
+        out = parts[0] if len(parts) == 1 else concat_channels(parts)
+        for op in block.ops:
+            out = _apply(op, out)
         computed[name] = out
-        flops += block_flops
     record = ForwardRecord(
         output=computed[spec.output_block],
-        flops_executed=flops,
+        flops_executed=sum(spec.block_flops[name] for name in names),
         executed_blocks=names,
     )
     for edge_name in edges:

@@ -239,8 +239,7 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
 
 def upsample_nearest2(x: np.ndarray) -> np.ndarray:
     """Double both spatial dims by replicating each element 2x2."""
-    _check_map(x)
-    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+    return repeat_nearest(x, 2)
 
 
 def block_mean(x: np.ndarray, factor: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from framecache.harness import (
     write_tables,
 )
 from framecache.metrics import mse
-from framecache.policies import DeltaSmape, EveryN
+from framecache.policies import PRESETS, DeltaSmape, EveryN, NonLinearSchedule
 from framecache.workload import SceneConfig, generate
 
 
@@ -466,6 +466,18 @@ class TestPolicySweepScenario:
         summary = scenario_policy_sweep(cfg)[0]
         assert summary.column("policy") == ["n5", "n2"]
         assert summary.column("refresh_count") == [2, 3]
+
+    def test_count_checks_follow_the_presets(self, monkeypatch):
+        # The expected n5, n2 and nonlinear counts are the presets' own.
+        monkeypatch.setitem(PRESETS, "n5", lambda horizon: EveryN(4))
+        monkeypatch.setitem(PRESETS, "n2", lambda horizon: EveryN(3))
+        monkeypatch.setitem(PRESETS, "nonlinear", lambda horizon: NonLinearSchedule(3, 2.0))
+        cfg = minimal_config(
+            scenario="policy_sweep",
+            options={"policy_sweep": {"presets": ["n5", "n2", "nonlinear"]}},
+        )
+        summary = scenario_policy_sweep(cfg)[0]
+        assert summary.column("refresh_count") == [3, 4, 3]
 
     @pytest.mark.parametrize(
         "network, cache",

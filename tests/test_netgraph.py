@@ -37,7 +37,7 @@ from framecache.netgraph import (
     make_network_spec,
     replace_cache_config,
 )
-from framecache.ops import ConvParams
+from framecache.ops import ConvParams, conv_flops
 from framecache.policies import DeltaSmape, EveryN
 from framecache.workload import SceneConfig, generate
 
@@ -371,13 +371,17 @@ class TestConvInstrumentationContract:
     @pytest.mark.parametrize("policy", [EveryN(3), DeltaSmape(0.2)])
     def test_one_call_per_conv_through_the_sequence_runner(self, monkeypatch, policy):
         # Each executed conv is one conv2d call, however many bands of
-        # output rows it multiplies, on the passes run_sequence makes.
-        calls = []
+        # output rows it multiplies, on the passes run_sequence makes; the
+        # FLOPs of the convs a pass ran, counted from their real outputs,
+        # are the FLOPs its frame reports.
+        calls, flops = [], []
         original = netgraph.conv2d
 
         def counting_conv2d(x, params):
+            out = original(x, params)
             calls.append(params)
-            return original(x, params)
+            flops.append(conv_flops(params, out.shape[1], out.shape[2]))
+            return out
 
         passes = []
         for name in ("forward_full", "forward_cached"):
@@ -386,7 +390,7 @@ class TestConvInstrumentationContract:
             def delimited(*args, _inner=inner, _name=name, **kwargs):
                 start = len(calls)
                 result = _inner(*args, **kwargs)
-                passes.append((_name, calls[start:]))
+                passes.append((_name, calls[start:], sum(flops[start:])))
                 return result
 
             monkeypatch.setattr(engine, name, delimited)
@@ -398,12 +402,41 @@ class TestConvInstrumentationContract:
         def convs(names):
             return [op for n in names for op in spec.blocks[n].ops if isinstance(op, ConvParams)]
 
-        kinds = [name for name, _ in passes]
+        kinds = [name for name, _, _ in passes]
         assert kinds == ["forward_full" if f.refreshed else "forward_cached" for f in report.frames]
         assert kinds.count("forward_cached") >= 2
-        for name, made in passes:
+        for (name, made, executed), frame in zip(passes, report.frames):
             expected = convs(spec.blocks if name == "forward_full" else spec.live_blocks)
             assert sorted(map(id, made)) == sorted(map(id, expected))
+            assert executed == frame.flops
+
+
+    @pytest.mark.parametrize(
+        "op", ["conv2d", "relu", "maxpool2", "upsample_nearest2", "concat_channels"]
+    )
+    def test_every_op_goes_through_its_module_binding(self, monkeypatch, op):
+        # The U-Net resamples in its input slots and the superres network
+        # in its blocks; both concatenate.
+        specs = [
+            set_unet_level(build_unet(3, 4, (6, 16, 16)), 1),
+            build_superres((6, 16, 16), base_channels=4, lr_pool=1, seed=2),
+        ]
+        inputs = [random_input(spec, 0) for spec in specs]
+        fulls = [forward_full(spec, x) for spec, x in zip(specs, inputs)]
+        calls = []
+        original = getattr(netgraph, op)
+
+        def counting(*args):
+            calls.append(op)
+            return original(*args)
+
+        monkeypatch.setattr(netgraph, op, counting)
+        for spec, x, full in zip(specs, inputs, fulls):
+            calls.clear()
+            assert forward_full(spec, x).output.tobytes() == full.output.tobytes()
+            assert calls
+            cached = forward_cached(spec, x, full.edge_tensors).output
+            assert cached.tobytes() == full.output.tobytes()
 
 
 class TestSubstitutionEquivalence:
