@@ -6,7 +6,10 @@ policy's retained input lives in its PolicyState. Cached frames run only
 the live blocks with the stored edge tensors substituted. An optional
 corruption hook rewrites the entries right after each refresh, which is
 how the sanity study replaces the cache with zeros, random values or
-additive noise.
+additive noise. Each refresh then wraps the entries in a new
+netgraph.CacheState, so the first cached frame after it prepares the
+cached channels of the live blocks' inputs and the frames after that
+reuse them.
 
 A full-pass memo (full_passes) holds one read-only full pass per frame
 for a network shared by several cache configurations: every frame's
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import ForwardRecord, NetworkSpec, forward_cached, forward_full
+from .netgraph import CacheState, ForwardRecord, NetworkSpec, forward_cached, forward_full
 from .policies import (
     PolicyState,
     RefreshPolicy,
@@ -235,7 +238,7 @@ def run_sequence(
                 f"memo holds {len(memo.records)} frames, the sequence {len(frame_list)}"
             )
     state: PolicyState = initial_state(policy, len(frame_list))
-    entries: dict[str, np.ndarray] = {}
+    cache = CacheState({})
     records: list[FrameRecord] = []
     refresh_count = 0
     for index, frame, metric, refreshed in _policy_steps(policy, state, frame_list):
@@ -255,9 +258,10 @@ def run_sequence(
             if corruption is not None:
                 rng = np.random.default_rng([corruption.seed, index])
                 entries = corrupt_cache(entries, corruption, rng)
+            cache = CacheState(entries)
             refresh_count += 1
         else:
-            result = forward_cached(spec, frame.input, entries)
+            result = forward_cached(spec, frame.input, cache)
         records.append(
             FrameRecord(
                 index=index,
@@ -271,7 +275,7 @@ def run_sequence(
         frames=records,
         refresh_count=refresh_count,
         full_pass_flops=spec.full_flops,
-        cache_bytes=cache_bytes_report(entries, state.stored_input),
+        cache_bytes=cache_bytes_report(cache.entries, state.stored_input),
     )
 
 

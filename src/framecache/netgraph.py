@@ -7,9 +7,12 @@ resampled slots are concatenated along channels and fed to the block's
 primitive sequence. The graph's edges, one per slot, are derived from the
 blocks. A CacheConfig names the edges whose producer-side tensors are
 stored on refresh frames and substituted at the consumer slots afterwards;
-the blocks a cached frame runs follow from those edges.
+the blocks a cached frame runs follow from those edges. A CacheState holds
+the stored tensors and writes the cached channels of each live block's
+input once, so cached frames that share it write only the live channels.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -320,35 +323,105 @@ def _is_encoder(ident: BlockId) -> bool:
     return ident.kind in (KIND_UNET, KIND_UNETPP) and ident.index == 0
 
 
+def _cached_value(spec: NetworkSpec, entries: dict[str, np.ndarray], edge: Edge) -> np.ndarray:
+    """The cache entry for edge, checked against its producer's shape."""
+    if edge.name not in entries:
+        raise ValueError(f"missing cache entry for edge {edge.name}")
+    value = entries[edge.name]
+    expected = spec.shapes[edge.src]
+    if value.shape != expected:
+        raise ValueError(
+            f"cache entry for {edge.name} has shape {value.shape}, expected {expected}"
+        )
+    return value
+
+
+class CacheState(Mapping):
+    """Cache entries, the producer-side tensors of the cached edges, plus
+    the prepared inputs of the live blocks that read them.
+
+    It reads as the mapping of its entries.
+
+    The first cached pass that runs such a block applies the slot ops to
+    its cached edges and writes their channels into a buffer for the
+    block's concatenated input; later passes of the same spec write only
+    the live slots' channels into it. Only the block's ops read the
+    buffer, so it never becomes an output or an edge tensor. A state
+    serves one pass at a time.
+    """
+
+    def __init__(self, entries: dict[str, np.ndarray]):
+        self.entries = entries
+        self._spec = None
+        self._inputs: dict[str, tuple] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.entries[name]
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def block_input(self, spec: NetworkSpec, block: Block, computed: dict) -> np.ndarray:
+        """The concatenated input of a block that reads a cached edge."""
+        if spec is not self._spec:
+            self._spec, self._inputs = spec, {}
+        live = {
+            slot: _apply(slot_op, computed[src])
+            for slot, (src, slot_op) in enumerate(block.inputs)
+            if src in computed
+        }
+        dtypes = tuple(value.dtype for value in live.values())
+        prepared = self._inputs.get(block.name)
+        if prepared is not None and prepared[2] == dtypes:
+            buffer, targets, _ = prepared
+            for value, target in zip(live.values(), targets):
+                np.copyto(target, value)
+            return buffer
+        parts = [
+            live[slot] if slot in live else _apply(slot_op, _cached_value(spec, self.entries, edge))
+            for slot, ((src, slot_op), edge) in enumerate(zip(block.inputs, block.edges))
+        ]
+        # The dtype concat_channels would give these parts, so writing a
+        # part into the buffer casts it as concatenating would.
+        buffer = np.empty(
+            (sum(part.shape[0] for part in parts), *parts[0].shape[1:]),
+            dtype=np.result_type(*parts),
+        )
+        channels, start = [], 0
+        for part in parts:
+            channels.append(buffer[start:start + part.shape[0]])
+            start += part.shape[0]
+            np.copyto(channels[-1], part)
+        self._inputs[block.name] = (buffer, tuple(channels[slot] for slot in live), dtypes)
+        return buffer
+
+
 def _execute(
     spec: NetworkSpec,
     x: np.ndarray,
     names: tuple[str, ...],
-    cache: dict[str, np.ndarray] | None,
+    cache: CacheState | None,
     edges,
 ) -> ForwardRecord:
     if x.shape != spec.input_shape:
         raise ValueError(f"input shape {x.shape} does not match spec {spec.input_shape}")
+    entries = {} if cache is None else cache.entries
     computed: dict[str, np.ndarray] = {INPUT: x}
     for name in names:
         block = spec.blocks[name]
-        parts = []
-        for slot, (src, slot_op) in enumerate(block.inputs):
-            if src in computed:
-                value = computed[src]
-            else:
-                edge = block.edges[slot]
-                if cache is None or edge.name not in cache:
-                    raise ValueError(f"missing cache entry for edge {edge.name}")
-                value = cache[edge.name]
-                expected = spec.shapes[src]
-                if value.shape != expected:
-                    raise ValueError(
-                        f"cache entry for {edge.name} has shape {value.shape}, "
-                        f"expected {expected}"
-                    )
-            parts.append(_apply(slot_op, value))
-        out = parts[0] if len(parts) == 1 else concat_channels(parts)
+        if cache is not None and block.ops and any(src not in computed for src, _ in block.inputs):
+            out = cache.block_input(spec, block, computed)
+        else:
+            # A block without ops passes its input on as its output, so it
+            # never gets a prepared buffer.
+            parts = [
+                _apply(slot_op, computed[src] if src in computed else _cached_value(spec, entries, edge))
+                for (src, slot_op), edge in zip(block.inputs, block.edges)
+            ]
+            out = parts[0] if len(parts) == 1 else concat_channels(parts)
         for op in block.ops:
             out = _apply(op, out)
         computed[name] = out
@@ -375,9 +448,15 @@ def forward_full(spec: NetworkSpec, x: np.ndarray, edges=None) -> ForwardRecord:
 
 
 def forward_cached(
-    spec: NetworkSpec, x: np.ndarray, cache: dict[str, np.ndarray]
+    spec: NetworkSpec, x: np.ndarray, cache: "dict[str, np.ndarray] | CacheState"
 ) -> ForwardRecord:
-    """Evaluate only the live blocks, substituting cached edge tensors."""
+    """Evaluate only the live blocks, substituting cached edge tensors.
+
+    cache is a dict of entries, whose block inputs are prepared for this
+    call alone, or a CacheState, whose prepared inputs later calls reuse.
+    """
+    if not isinstance(cache, CacheState):
+        cache = CacheState(cache)
     return _execute(spec, x, spec.live_blocks, cache=cache, edges=())
 
 

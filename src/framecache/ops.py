@@ -2,10 +2,12 @@
 
 Feature maps are plain numpy arrays of shape (channels, height, width),
 dtype float32 and C-contiguous, so the flat layout is channel-major then
-row-major. Every operation here is a pure function. The convolution
-accumulates in float64 and rounds once back to float32, which keeps
-repeated evaluations bit-identical and keeps the result within one float32
-ulp of the exact sum regardless of summation order.
+row-major. Every operation here returns a new array that depends only on
+its arguments; conv2d alone keeps scratch state, a per-thread workspace
+that no result shares. The convolution accumulates in float64 and rounds
+once back to float32, which keeps repeated evaluations bit-identical and
+keeps the result within one float32 ulp of the exact sum regardless of
+summation order.
 
 The convolution is an im2col matrix product. Each ConvParams converts its
 weights and bias to float64 once, when it is built, and conv2d casts the
@@ -15,7 +17,13 @@ are the same as a per-call cast of the weights and of a float32 im2col
 matrix would give.
 
 conv2d builds the im2col matrix one band of output rows at a time and
-multiplies each band into its columns of the result. _BAND_BYTES, 512 KiB,
+multiplies each band into its columns of the result. Each thread keeps a
+grow-only workspace: the padded input, in the input's dtype, the band and
+the float64 accumulator, plus, per input geometry and _BAND_BYTES value,
+the band plan and the views of those buffers. A call copies its input into
+the workspace, fills and multiplies its bands and returns the accumulator
+cast to a new float32 array, so no output shares the workspace, and a
+thread's outputs do not depend on what other threads run. _BAND_BYTES, 512 KiB,
 sizes the bands for a core's L2 cache, which holds both the band, between
 the copy that fills it and the product that reads it, and the copy of the
 band that BLAS packs for its product; at 1 MiB the two filled the 2 MiB L2
@@ -48,6 +56,7 @@ not guaranteed.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +143,9 @@ class ConvParams:
         # conv2d's float64 operands: (out_channels, in_c*kh*kw) and (out_channels, 1).
         object.__setattr__(self, "_wmat", wmat)
         object.__setattr__(self, "_bias_col", bias_col)
+        # The geometry conv2d keys its workspace plans by, with the input's shape.
+        geometry = (self.out_channels, self.kernel_h, self.kernel_w, self.stride, self.padding)
+        object.__setattr__(self, "_geometry", geometry)
 
 
 def conv_output_hw(params: ConvParams, height: int, width: int) -> tuple[int, int]:
@@ -156,6 +168,111 @@ def conv_output_hw(params: ConvParams, height: int, width: int) -> tuple[int, in
 _BAND_BYTES = 1 << 19
 
 
+class _Workspace(threading.local):
+    """One thread's conv2d scratch: grow-only flat buffers for the padded
+    input (raw bytes, viewed in the input's dtype), the float64 band and
+    the float64 accumulator, and the _Plan of each geometry seen since the
+    buffers last grew. border is (padded layout, channels) of the padded
+    maps whose zero border is intact, or None."""
+
+    def __init__(self):
+        self.pad = np.empty(0, dtype=np.uint8)
+        self.band = np.empty(0, dtype=np.float64)
+        self.acc = np.empty(0, dtype=np.float64)
+        self.plans = {}
+        self.border = None
+
+
+_workspace = _Workspace()
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """conv2d's views of the workspace for one input geometry and budget.
+
+    layout is (dtype, padded height, padded width, padding); inner is where
+    the input is copied inside its padded map and strips the map's border.
+    windows holds each band's slice of the window view of the padded map,
+    or None unpadded, where the window view is of the input itself and
+    rows gives each band's output rows. bands and flats are each band's
+    im2col block as (C, kh, kw, rows, out_w) and as (K, columns), outs its
+    columns of acc, and out is acc as (out_channels, out_h, out_w).
+    """
+
+    layout: tuple
+    inner: np.ndarray | None
+    strips: tuple
+    windows: tuple | None
+    rows: tuple
+    bands: tuple
+    flats: tuple
+    outs: tuple
+    acc: np.ndarray
+    out: np.ndarray
+
+
+def _buffer(ws: _Workspace, name: str, size: int) -> np.ndarray:
+    """The workspace buffer called name, grown to at least size items. A
+    new buffer drops every plan, whose views are of the old one."""
+    buffer = getattr(ws, name)
+    if buffer.size < size:
+        buffer = np.empty(size, dtype=buffer.dtype)
+        setattr(ws, name, buffer)
+        ws.plans.clear()
+        ws.border = None
+    return buffer
+
+
+def _window_view(xp: np.ndarray, params: ConvParams, out_h: int, out_w: int) -> np.ndarray:
+    """The (C, kh, kw, out_h, out_w) read-only view of xp's windows."""
+    s0, s1, s2 = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(xp.shape[0], params.kernel_h, params.kernel_w, out_h, out_w),
+        strides=(s0, s1, s2, s1 * params.stride, s2 * params.stride),
+        writeable=False,
+    )
+
+
+def _make_plan(ws: _Workspace, x: np.ndarray, params: ConvParams, budget: int) -> _Plan:
+    c, h, w = x.shape
+    out_h, out_w = conv_output_hw(params, h, w)
+    kernel = (c, params.kernel_h, params.kernel_w)
+    k = c * params.kernel_h * params.kernel_w
+    rows = min(out_h, max(1, budget // (k * out_w * 8)))
+    if rows < out_h:
+        # Several bands: each but the last holds a multiple of 8 columns.
+        aligned = 8 // math.gcd(out_w, 8)
+        rows = min(out_h, max(aligned, rows - rows % aligned))
+    p = params.padding
+    hp, wp = h + 2 * p, w + 2 * p
+    band = _buffer(ws, "band", k * rows * out_w)
+    acc = _buffer(ws, "acc", params.out_channels * out_h * out_w)
+    acc = acc[:params.out_channels * out_h * out_w].reshape(params.out_channels, -1)
+    spans = tuple((r0, min(r0 + rows, out_h)) for r0 in range(0, out_h, rows))
+    bands = tuple(band[:k * (r1 - r0) * out_w].reshape(kernel + (r1 - r0, out_w)) for r0, r1 in spans)
+    inner, strips, windows = None, (), None
+    if p:
+        pad = _buffer(ws, "pad", c * hp * wp * x.itemsize)
+        xp = pad[:c * hp * wp * x.itemsize].view(x.dtype).reshape(c, hp, wp)
+        inner = xp[:, p:p + h, p:p + w]
+        strips = (xp[:, :p], xp[:, p + h:], xp[:, p:p + h, :p], xp[:, p:p + h, p + w:])
+        view = _window_view(xp, params, out_h, out_w)
+        windows = tuple(view[:, :, :, r0:r1] for r0, r1 in spans)
+    return _Plan(
+        layout=(x.dtype, hp, wp, p),
+        inner=inner,
+        strips=strips,
+        windows=windows,
+        rows=spans,
+        bands=bands,
+        flats=tuple(b.reshape(k, -1) for b in bands),
+        outs=tuple(acc[:, r0 * out_w:r1 * out_w] for r0, r1 in spans),
+        acc=acc,
+        out=acc.reshape(params.out_channels, out_h, out_w),
+    )
+
+
 def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Apply a zero-padded strided cross-correlation to a (C, H, W) map.
 
@@ -163,42 +280,37 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     float64 in the single copy that fills each band of the im2col matrix.
     The product with the float64 weights of params, made once per
     ConvParams, gets the same operands as casting the weights and a float32
-    im2col matrix on every call would.
+    im2col matrix on every call would. The padded map, the bands and the
+    accumulator live in this thread's workspace; the result is a new array.
     """
     _check_map(x)
-    c, h, w = x.shape
+    c = x.shape[0]
     if c != params.in_channels:
         raise ValueError(f"conv expects {params.in_channels} channels, got {c}")
-    out_h, out_w = conv_output_hw(params, h, w)
-    p = params.padding
-    if p:
-        xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, p:p + h, p:p + w] = x
+    ws = _workspace
+    key = (x.shape, x.dtype, params._geometry, _BAND_BYTES)
+    plan = ws.plans.get(key)
+    if plan is None:
+        plan = ws.plans[key] = _make_plan(ws, x, params, _BAND_BYTES)
+    if plan.inner is not None:
+        # Maps of one padded layout write only inside their border, so a
+        # border stays zero until a map of another layout is padded.
+        border = ws.border
+        if border is None or border[0] != plan.layout or border[1] < c:
+            for strip in plan.strips:
+                strip.fill(0)
+            ws.border = (plan.layout, c)
+        np.copyto(plan.inner, x)
+        windows = plan.windows
     else:
-        xp = x
-    s0, s1, s2 = xp.strides
-    kernel = (c, params.kernel_h, params.kernel_w)
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=kernel + (out_h, out_w),
-        strides=(s0, s1, s2, s1 * params.stride, s2 * params.stride),
-        writeable=False,
-    )
-    k = c * params.kernel_h * params.kernel_w
-    rows = min(out_h, max(1, _BAND_BYTES // (k * out_w * 8)))
-    if rows < out_h:
-        # Several bands: each but the last holds a multiple of 8 columns.
-        aligned = 8 // math.gcd(out_w, 8)
-        rows = min(out_h, max(aligned, rows - rows % aligned))
-    buffer = np.empty(k * rows * out_w, dtype=np.float64)
-    acc = np.empty((params.out_channels, out_h * out_w), dtype=np.float64)
-    for r0 in range(0, out_h, rows):
-        r1 = min(r0 + rows, out_h)
-        band = buffer[:k * (r1 - r0) * out_w].reshape(kernel + (r1 - r0, out_w))
-        np.copyto(band, windows[:, :, :, r0:r1])
-        np.matmul(params._wmat, band.reshape(k, -1), out=acc[:, r0 * out_w:r1 * out_w])
+        view = _window_view(x, params, *plan.out.shape[1:])
+        windows = [view[:, :, :, r0:r1] for r0, r1 in plan.rows]
+    for band, window, flat, out in zip(plan.bands, windows, plan.flats, plan.outs):
+        np.copyto(band, window)
+        np.matmul(params._wmat, flat, out=out)
+    acc = plan.acc
     acc += params._bias_col
-    return acc.reshape(params.out_channels, out_h, out_w).astype(np.float32)
+    return plan.out.astype(np.float32)
 
 
 def conv_flops(params: ConvParams, out_h: int, out_w: int) -> int:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framecache import engine, policies
+from framecache import engine, netgraph, policies
 from framecache.builders import (
     build_superres,
     build_unet,
@@ -536,3 +536,86 @@ class TestRunMatchesFreshPasses:
                 expected = forward_cached(spec, frame.input, dict(entries)).output
             assert rec.output.dtype == expected.dtype
             assert rec.output.tobytes() == expected.tobytes(), (rec.index, rec.refreshed)
+
+
+PREPARED_CASES = [("unet", 1), ("superres", 1)]
+
+
+def cached_slot_upsamples(spec):
+    """How many slots of live blocks upsample a cached edge."""
+    live = set(spec.live_blocks)
+    return sum(
+        slot_op == "upsample2" and src not in live
+        for name in spec.live_blocks
+        for src, slot_op in spec.blocks[name].inputs
+    )
+
+
+def counted_ops(patch, names=("upsample_nearest2", "maxpool2", "concat_channels")):
+    """Count calls of netgraph's bindings of the named ops."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(netgraph, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        patch.setattr(netgraph, name, counting)
+    return counts
+
+
+class TestPreparedCachedInputs:
+    """A cache state prepares each live block's cached channels once.
+
+    The first cached frame after a refresh applies the slot ops to the
+    cached edges; every cached frame then writes only its live channels,
+    with no concat_channels call, and gets the bytes of a pass on a plain
+    dict of the same entries.
+    """
+
+    @pytest.mark.parametrize("corruption", [None, Corruption("noise", sigma_scale=0.5, seed=3)])
+    @pytest.mark.parametrize("case", PREPARED_CASES)
+    def test_cached_frames_reuse_the_prepared_channels(self, case, corruption):
+        spec, frames, _ = run_case(case)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            counts = counted_ops(patch)
+            inner = engine.forward_cached
+
+            def recording(spec_, x, cache):
+                before = dict(counts)
+                result = inner(spec_, x, cache)
+                made = {name: counts[name] - before[name] for name in counts}
+                calls.append((x, dict(cache), made, result.output.tobytes()))
+                return result
+
+            patch.setattr(engine, "forward_cached", recording)
+            report = run_sequence(spec, frames, EveryN(3), corruption)
+        cached = [rec for rec in report.frames if not rec.refreshed]
+        assert len(calls) == len(cached) >= 4
+        prepared = cached_slot_upsamples(spec)
+        assert prepared == (1 if case[0] == "unet" else 0)
+        steady = calls[1][2]["upsample_nearest2"]
+        if case[0] == "unet":
+            assert steady == 0
+        for rec, (x, entries, made, data) in zip(cached, calls, strict=True):
+            first = report.frames[rec.index - 1].refreshed
+            assert made["concat_channels"] == 0
+            assert made["upsample_nearest2"] == steady + (prepared if first else 0)
+            # The bytes the frame had when it was made, of a pass on a
+            # plain dict of the same entries, and still the frame's now.
+            assert data == forward_cached(spec, x, entries).output.tobytes()
+            assert rec.output.tobytes() == data
+
+    @pytest.mark.parametrize("case", PREPARED_CASES)
+    def test_refreshing_every_frame_prepares_nothing(self, case):
+        spec, frames, _ = run_case(case)
+        with pytest.MonkeyPatch.context() as patch:
+            counts = counted_ops(patch, ("upsample_nearest2", "maxpool2"))
+            forward_full(spec, frames[0].input)
+            per_pass = dict(counts)
+            counts.update(dict.fromkeys(counts, 0))
+            report = run_sequence(spec, frames, EveryN(1))
+        assert report.refresh_count == len(frames)
+        assert counts == {name: n * len(frames) for name, n in per_pass.items()}

@@ -12,6 +12,7 @@ pooling formula (a reshape reduced with max).
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -346,6 +347,80 @@ class TestConv2dBandAlignment:
         # Five rows of budget: bands of 4 rows (24 columns) and the rest.
         _, columns = band_columns(monkeypatch, x, params, 5)
         assert columns == [24, 12]
+
+
+# Geometries one process interleaves: (in_c, out_c, kernel, padding, H, W).
+WORKSPACE_GEOMETRIES = [
+    (6, 8, 3, 1, 48, 48),
+    (24, 8, 3, 1, 48, 48),
+    (8, 6, 1, 0, 48, 48),
+    (16, 16, 3, 1, 24, 24),
+    (3, 4, 3, 0, 9, 13),
+    (40, 8, 3, 1, 64, 64),
+    (8, 8, 3, 1, 48, 48),
+]
+
+
+class TestConv2dWorkspace:
+    """conv2d's per-thread workspace and plans change no output byte."""
+
+    def test_interleaved_geometries_match_seed(self):
+        rng = np.random.default_rng(11)
+        cases = [
+            (_input_of_kind(rng, kind, (in_c, h, w)), random_params(rng, in_c, out_c, kernel, padding=padding))
+            for kind in ("contiguous", "view", "float64")
+            for in_c, out_c, kernel, padding, h, w in WORKSPACE_GEOMETRIES
+        ]
+        assert {x.dtype for x, _ in cases} == {np.dtype(np.float32), np.dtype(np.float64)}
+        assert {params.padding for _, params in cases} == {0, 1}
+        kept = []
+        for round_ in range(3):
+            order = range(len(cases)) if round_ != 1 else reversed(range(len(cases)))
+            for i in order:
+                x, params = cases[i]
+                out = conv2d(x, params)
+                assert np.array_equal(out.view(np.uint32), _seed_conv2d(x, params).view(np.uint32))
+                kept.append((out, out.tobytes()))
+        # Every output is its own array: later calls leave it unchanged.
+        assert all(out.tobytes() == data for out, data in kept)
+        assert len({id(out) for out, _ in kept}) == len(kept)
+
+    def test_band_budget_patched_after_a_plan_exists(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        params = random_params(rng, 24, 8, 3, padding=1)
+        x = rng.standard_normal((24, 48, 48)).astype(np.float32)
+        first, columns = band_columns(monkeypatch, x, params)
+        assert len(columns) == 8
+        narrow, narrow_columns = band_columns(monkeypatch, x, params, 2)
+        assert len(narrow_columns) == 24
+        again, again_columns = band_columns(monkeypatch, x, params)
+        assert again_columns == columns
+        for out in (narrow, again):
+            assert np.array_equal(out.view(np.uint32), first.view(np.uint32))
+
+    def test_two_threads_with_different_geometries(self):
+        rng = np.random.default_rng(13)
+        cases = []
+        for in_c, out_c, kernel, padding, h, w in (WORKSPACE_GEOMETRIES[1], WORKSPACE_GEOMETRIES[3]):
+            params = random_params(rng, in_c, out_c, kernel, padding=padding)
+            inputs = [rng.standard_normal((in_c, h, w)).astype(np.float32) for _ in range(3)]
+            cases.append((params, inputs, [_seed_conv2d(x, params).tobytes() for x in inputs]))
+        start = threading.Barrier(len(cases))
+        mismatches = []
+
+        def work(params, inputs, expected):
+            start.wait()
+            for _ in range(30):
+                for x, want in zip(inputs, expected):
+                    if conv2d(x, params).tobytes() != want:
+                        mismatches.append(params)
+
+        threads = [threading.Thread(target=work, args=case) for case in cases]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert mismatches == []
 
 
 class TestConvParamsCopies:
