@@ -6,10 +6,10 @@ policy's retained input lives in its PolicyState. Cached frames run only
 the live blocks with the stored edge tensors substituted. An optional
 corruption hook rewrites the entries right after each refresh, which is
 how the sanity study replaces the cache with zeros, random values or
-additive noise. Each refresh then wraps the entries in a new
-netgraph.CacheState, so the first cached frame after it prepares the
-cached channels of the live blocks' inputs and the frames after that
-reuse them.
+additive noise. A run keeps one netgraph.CacheState and hands it the
+entries each refresh leaves, so the first cached frame after a refresh
+writes the cached channels of the live blocks' inputs and the frames
+after that reuse them.
 
 A full-pass memo (full_passes) holds one read-only full pass per frame
 for a network shared by several cache configurations: every frame's
@@ -258,7 +258,7 @@ def run_sequence(
             if corruption is not None:
                 rng = np.random.default_rng([corruption.seed, index])
                 entries = corrupt_cache(entries, corruption, rng)
-            cache = CacheState(entries)
+            cache.refresh(entries)
             refresh_count += 1
         else:
             result = forward_cached(spec, frame.input, cache)

@@ -9,7 +9,8 @@ blocks. A CacheConfig names the edges whose producer-side tensors are
 stored on refresh frames and substituted at the consumer slots afterwards;
 the blocks a cached frame runs follow from those edges. A CacheState holds
 the stored tensors and writes the cached channels of each live block's
-input once, so cached frames that share it write only the live channels.
+input once per set of entries, so cached frames that share it write only
+the live channels.
 """
 
 from collections.abc import Mapping
@@ -338,22 +339,24 @@ def _cached_value(spec: NetworkSpec, entries: dict[str, np.ndarray], edge: Edge)
 
 class CacheState(Mapping):
     """Cache entries, the producer-side tensors of the cached edges, plus
-    the prepared inputs of the live blocks that read them.
+    the prepared inputs of the live blocks that read them. It reads as
+    the mapping of its entries.
 
-    It reads as the mapping of its entries.
-
-    The first cached pass that runs such a block applies the slot ops to
-    its cached edges and writes their channels into a buffer for the
-    block's concatenated input; later passes of the same spec write only
-    the live slots' channels into it. Only the block's ops read the
-    buffer, so it never becomes an output or an edge tensor. A state
-    serves one pass at a time.
+    The first cached pass after the entries are set applies the slot ops
+    to the cached edges of each such block and writes their channels into
+    the block's input buffer; later passes of the same spec write only the
+    live slots' channels into it. The buffer outlives new entries, which
+    only mark its cached channels for writing again. Only the block's ops
+    read the buffer, so it never becomes an output or an edge tensor. A
+    state serves one pass at a time.
     """
 
     def __init__(self, entries: dict[str, np.ndarray]):
         self.entries = entries
         self._spec = None
+        # block name -> (live slots' dtypes, buffer, per-slot channel views)
         self._inputs: dict[str, tuple] = {}
+        self._current: set[str] = set()  # blocks whose cached channels hold entries
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.entries[name]
@@ -364,10 +367,16 @@ class CacheState(Mapping):
     def __len__(self) -> int:
         return len(self.entries)
 
+    def refresh(self, entries: dict[str, np.ndarray]) -> None:
+        """Replace the entries; the next cached pass rewrites the cached
+        channels of every prepared input."""
+        self.entries = entries
+        self._current = set()
+
     def block_input(self, spec: NetworkSpec, block: Block, computed: dict) -> np.ndarray:
         """The concatenated input of a block that reads a cached edge."""
         if spec is not self._spec:
-            self._spec, self._inputs = spec, {}
+            self._spec, self._inputs, self._current = spec, {}, set()
         live = {
             slot: _apply(slot_op, computed[src])
             for slot, (src, slot_op) in enumerate(block.inputs)
@@ -375,28 +384,36 @@ class CacheState(Mapping):
         }
         dtypes = tuple(value.dtype for value in live.values())
         prepared = self._inputs.get(block.name)
-        if prepared is not None and prepared[2] == dtypes:
-            buffer, targets, _ = prepared
-            for value, target in zip(live.values(), targets):
-                np.copyto(target, value)
-            return buffer
-        parts = [
-            live[slot] if slot in live else _apply(slot_op, _cached_value(spec, self.entries, edge))
+        if block.name not in self._current or prepared[0] != dtypes:
+            prepared = self._prepare(spec, block, live, dtypes, prepared)
+        _, buffer, channels = prepared
+        for slot, value in live.items():
+            np.copyto(channels[slot], value)
+        return buffer
+
+    def _prepare(self, spec, block, live, dtypes, prepared) -> tuple:
+        cached = {
+            slot: _apply(slot_op, _cached_value(spec, self.entries, edge))
             for slot, ((src, slot_op), edge) in enumerate(zip(block.inputs, block.edges))
-        ]
+            if slot not in live
+        }
+        parts = [live[slot] if slot in live else cached[slot] for slot in range(len(block.inputs))]
         # The dtype concat_channels would give these parts, so writing a
         # part into the buffer casts it as concatenating would.
-        buffer = np.empty(
-            (sum(part.shape[0] for part in parts), *parts[0].shape[1:]),
-            dtype=np.result_type(*parts),
-        )
-        channels, start = [], 0
-        for part in parts:
-            channels.append(buffer[start:start + part.shape[0]])
-            start += part.shape[0]
-            np.copyto(channels[-1], part)
-        self._inputs[block.name] = (buffer, tuple(channels[slot] for slot in live), dtypes)
-        return buffer
+        dtype = np.result_type(*parts)
+        if prepared is None or prepared[1].dtype != dtype:
+            buffer = np.empty((sum(part.shape[0] for part in parts), *parts[0].shape[1:]), dtype=dtype)
+            channels, start = [], 0
+            for part in parts:
+                channels.append(buffer[start:start + part.shape[0]])
+                start += part.shape[0]
+        else:
+            buffer, channels = prepared[1:]
+        for slot, value in cached.items():
+            np.copyto(channels[slot], value)
+        self._current.add(block.name)
+        prepared = self._inputs[block.name] = (dtypes, buffer, tuple(channels))
+        return prepared
 
 
 def _execute(

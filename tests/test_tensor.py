@@ -12,6 +12,7 @@ pooling formula (a reshape reduced with max).
 """
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -398,29 +399,36 @@ class TestConv2dWorkspace:
         for out in (narrow, again):
             assert np.array_equal(out.view(np.uint32), first.view(np.uint32))
 
-    def test_two_threads_with_different_geometries(self):
+    def test_threads_with_different_geometries(self):
+        # More threads than cores and a short switch interval, so the
+        # threads' conv2d calls interleave; one shared workspace would mix
+        # their bands.
         rng = np.random.default_rng(13)
         cases = []
-        for in_c, out_c, kernel, padding, h, w in (WORKSPACE_GEOMETRIES[1], WORKSPACE_GEOMETRIES[3]):
+        for in_c, out_c, kernel, padding, h, w in WORKSPACE_GEOMETRIES[:4]:
             params = random_params(rng, in_c, out_c, kernel, padding=padding)
             inputs = [rng.standard_normal((in_c, h, w)).astype(np.float32) for _ in range(3)]
             cases.append((params, inputs, [_seed_conv2d(x, params).tobytes() for x in inputs]))
-        start = threading.Barrier(len(cases))
-        mismatches = []
+        start = threading.Barrier(len(cases), timeout=30)
+        matched = []
 
         def work(params, inputs, expected):
             start.wait()
-            for _ in range(30):
-                for x, want in zip(inputs, expected):
-                    if conv2d(x, params).tobytes() != want:
-                        mismatches.append(params)
+            outputs = [conv2d(x, params).tobytes() for _ in range(20) for x in inputs]
+            matched.append(outputs == expected * 20)
 
         threads = [threading.Thread(target=work, args=case) for case in cases]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert mismatches == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert matched == [True] * len(cases)
 
 
 class TestConvParamsCopies:
