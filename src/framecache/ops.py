@@ -17,13 +17,7 @@ are the same as a per-call cast of the weights and of a float32 im2col
 matrix would give.
 
 conv2d builds the im2col matrix one band of output rows at a time and
-multiplies each band into its columns of the result. Each thread keeps a
-grow-only workspace: the padded input, in the input's dtype, the band and
-the float64 accumulator, plus, per input geometry and _BAND_BYTES value,
-the band plan and the views of those buffers. A call copies its input into
-the workspace, fills and multiplies its bands and returns the accumulator
-cast to a new float32 array, so no output shares the workspace, and a
-thread's outputs do not depend on what other threads run. _BAND_BYTES, 512 KiB,
+multiplies each band into its columns of the result. _BAND_BYTES, 512 KiB,
 sizes the bands for a core's L2 cache, which holds both the band, between
 the copy that fills it and the product that reads it, and the copy of the
 band that BLAS packs for its product; at 1 MiB the two filled the 2 MiB L2
@@ -36,6 +30,14 @@ runs; in-process sweeps put 384 and 512 KiB ahead of 256, 768 and 1024
 KiB, and the default suite wrote the same bytes at each of them. The
 budget is a constant, never read from the host, so band heights, and
 with them output bytes, depend on config and seed alone.
+
+conv2d keeps a grow-only workspace per thread: the padded input, in the
+input's dtype, the band and the float64 accumulator, plus, per input
+geometry and _BAND_BYTES value, the band plan and the views of those
+buffers. A call copies its input into the workspace, fills and multiplies
+its bands and returns the accumulator cast to a new float32 array, so no
+output shares the workspace, and a thread's outputs do not depend on what
+other threads run.
 
 Every output is still the same K-long dot product of the same float64
 operands. When a map needs more than one band, the band height is rounded
