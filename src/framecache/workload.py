@@ -22,6 +22,11 @@ and y on the pixel grid, and the texture planes that share an octave
 count and base cell go through numpy together. Every lerp has the same
 float64 operands as a per-pixel evaluation of the four cell corners of
 each frame's own pixels, so the frames are the same bit for bit.
+
+Motion fields are read-only. Consecutive frames without sprites whose
+velocity has the same float32 bits share one field, so a constant pan
+holds one field however many frames it has; a caller that edits a motion
+field copies it first.
 """
 
 import math
@@ -100,7 +105,9 @@ class FrameInput:
     """One frame: the network input and its analytic motion field.
 
     motion[(0, 1)] hold the per-pixel x / y screen displacement since the
-    previous frame (frame 0 stores its scheduled velocity).
+    previous frame (frame 0 stores its scheduled velocity). motion is
+    read-only and may be shared with neighbouring frames of the same
+    velocity (see the module docstring); copy it before editing it.
     """
 
     index: int
@@ -350,8 +357,9 @@ def iter_frames(config: SceneConfig, frame_count: int) -> Iterator[FrameInput]:
     pixels report the sprite's velocity instead). Frames are made one
     chunk at a time (see the module docstring), so a caller that keeps
     only part of each frame holds only that plus at most one chunk's noise
-    planes. frame_count is checked when this is called, not on the first
-    frame.
+    planes. Frames of one velocity without sprites share one read-only
+    motion field; a caller that edits it copies it first. frame_count is
+    checked when this is called, not on the first frame.
     """
     if frame_count < 1:
         raise ValueError("frame_count must be >= 1")
@@ -378,13 +386,22 @@ def _frames(config: SceneConfig, frame_count: int) -> Iterator[FrameInput]:
             )
 
     index = 0
+    motion, velocity = None, None
     for chunk in _chunks(config, coords()):
         for planes in _chunk_planes(config, chunk):
             channels = _stack_channels(config, *planes)
-            motion = np.empty((2, config.height, config.width), dtype=np.float32)
-            motion[0] = speeds[index] * dir_x
-            motion[1] = speeds[index] * dir_y
+            # Keyed on the float32 bits, so that speeds 0.0 and -0.0 (whose
+            # fields differ in sign bits) get fields of their own.
+            frame_velocity = np.array(
+                [speeds[index] * dir_x, speeds[index] * dir_y], dtype=np.float32
+            ).tobytes()
+            if sprites or frame_velocity != velocity:
+                motion = np.empty((2, config.height, config.width), dtype=np.float32)
+                motion[0] = speeds[index] * dir_x
+                motion[1] = speeds[index] * dir_y
+                velocity = frame_velocity
             _apply_sprites(config, sprites, index, channels, motion)
+            motion.setflags(write=False)
             yield FrameInput(index=index, input=tensor(channels), motion=motion)
             index += 1
 

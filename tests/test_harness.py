@@ -332,8 +332,9 @@ class TestNullHypothesisScenario:
 
 class TestSuperresTradeoffScenario:
     def test_no_full_frame_alive_once_the_scene_is_walked(self, monkeypatch):
-        # Weak references to every array of each full-resolution frame the
-        # scene yields, over both walks, and of each downscaled frame. The
+        # Weak references to every distinct array of the full-resolution
+        # frames the scene yields, over both walks (a walk's frames share
+        # one motion field), and of each downscaled frame. The
         # first run_sequence call (the small baseline) comes after the first
         # walk, and by then every full-resolution frame must be gone. The
         # second walk scores the rows (the only mse calls): at each of them
@@ -344,7 +345,10 @@ class TestSuperresTradeoffScenario:
 
         def recording_frames(scene, count):
             for frame in iter_frames(scene, count):
-                refs.extend([weakref.ref(frame.input), weakref.ref(frame.motion)])
+                # By identity, not id(): a freed frame's id can come back.
+                for array in (frame.input, frame.motion):
+                    if not any(ref() is array for ref in refs):
+                        refs.append(weakref.ref(array))
                 yield frame
 
         def recording_downscale(frame, factor):
@@ -370,7 +374,8 @@ class TestSuperresTradeoffScenario:
         monkeypatch.setattr(harness, "run_sequence", checking_run)
         monkeypatch.setattr(harness, "mse", checking_mse)
         tables = scenario_superres_tradeoff(small_superres_config())
-        assert len(refs) == 16
+        # 4 inputs and one motion field per walk.
+        assert len(refs) == 2 * (4 + 1)
         assert len(scaled_refs) == 2 * 2 * 4
         assert alive_at_first_run == [0]
         # Per frame: one mse per baseline row, two per cached row.

@@ -10,6 +10,7 @@ generator must reproduce its frames bit for bit.
 """
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -333,6 +334,67 @@ class TestMotionGroundTruth:
         assert overridden.sum() < camera.size // 4
         plain = generate(SceneConfig(seed=6, sprite_count=0, pan_speed=1.0), 3)[1]
         assert not np.array_equal(frame.input, plain.input)
+
+
+class TestSharedMotion:
+    """Frames of one velocity without sprites share one read-only motion field."""
+
+    @staticmethod
+    def distinct_fields(frames):
+        return list({id(frame.motion): frame.motion for frame in frames}.values())
+
+    def test_constant_pan_shares_one_read_only_field(self):
+        frames = generate(SceneConfig(seed=0, pan_speed=1.0), 6).frames
+        (motion,) = self.distinct_fields(frames)
+        assert motion.flags.c_contiguous and not motion.flags.writeable
+        assert motion.strides == (4 * 32 * 32, 4 * 32, 4)
+        with pytest.raises(ValueError):
+            motion[0, 0, 0] = 2.0
+
+    def test_one_field_per_run_of_equal_velocity(self):
+        config = SceneConfig(seed=0, pan_schedule=((3, 1.0), (2, 2.0), (3, 1.0)))
+        frames = generate(config, 8).frames
+        assert [frame.motion is frames[0].motion for frame in frames[:3]] == [True] * 3
+        assert [frame.motion is frames[3].motion for frame in frames[3:5]] == [True] * 2
+        assert [frame.motion is frames[5].motion for frame in frames[5:]] == [True] * 3
+        assert len(self.distinct_fields(frames)) == 3
+
+    def test_signed_zero_speeds_get_separate_fields(self):
+        config = SceneConfig(seed=0, pan_schedule=((2, 0.0), (2, -0.0)))
+        frames = generate(config, 4).frames
+        first, second = self.distinct_fields(frames)
+        assert first.tobytes() != second.tobytes()
+        assert frames[1].motion is first and frames[2].motion is second
+
+    def test_sprites_give_one_field_per_frame(self):
+        frames = generate(SceneConfig(seed=0, sprite_count=2), 4).frames
+        assert len(self.distinct_fields(frames)) == 4
+        assert not any(frame.motion.flags.writeable for frame in frames)
+
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(scene_configs(), st.integers(1, 6))
+    def test_random_scenes_share_only_equal_fields(self, config, frame_count):
+        frames = generate(config, frame_count).frames
+        assert not any(frame.motion.flags.writeable for frame in frames)
+        for previous, frame in zip(frames, frames[1:]):
+            equal = previous.motion.tobytes() == frame.motion.tobytes()
+            assert (frame.motion is previous.motion) == (config.sprite_count == 0 and equal)
+
+    def test_held_bytes_per_frame(self):
+        # A first call makes one-off allocations (~0.8 MB) that a warm-up
+        # keeps out of the count. Each frame then holds its input and a
+        # small FrameInput; a motion field of its own (8 KiB here) per
+        # frame would break the bound.
+        config = SceneConfig(seed=0, height=32, width=32, pan_speed=1.0)
+        generate(config, 4)
+        tracemalloc.start()
+        try:
+            frames = generate(config, 200).frames
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        frame = frames[0]
+        assert held <= 200 * (frame.input.nbytes + 1024) + frame.motion.nbytes
 
 
 class TestTemporalDrift:
