@@ -884,12 +884,21 @@ def _downscale_frame(frame: FrameInput, factor: int) -> FrameInput:
 def _stream_reference(scene: SceneConfig, frame_count: int, factors):
     """Walk a reference scene one frame at a time, keeping only each
     frame's _downscale_frame at each factor; no full-resolution frame is
-    alive once this returns. Returns one frame list per factor.
+    alive once this returns. Returns one frame list per factor. A frame
+    whose motion field is the previous frame's (see workload) keeps the
+    previous downscaled field instead of its own copy; the downscaled
+    fields are read-only.
     """
     scaled = [[] for _ in factors]
+    motion = None
     for frame in iter_frames(scene, frame_count):
         for frames, factor in zip(scaled, factors):
-            frames.append(_downscale_frame(frame, factor))
+            small = _downscale_frame(frame, factor)
+            if frame.motion is motion:
+                small.motion = frames[-1].motion
+            small.motion.setflags(write=False)
+            frames.append(small)
+        motion = frame.motion
     return scaled
 
 

@@ -23,6 +23,14 @@ count and base cell go through numpy together. Every lerp has the same
 float64 operands as a per-pixel evaluation of the four cell corners of
 each frame's own pixels, so the frames are the same bit for bit.
 
+Each frame is gathered into a float32 array of its own from a float32
+copy of its chunk's channels on the grid, one take along each axis: x
+first, unless rows first gathers less, as on a pan along y. A frame whose
+neighbouring pixels are grid neighbours, as on a whole-pixel pan, takes
+its depth gradients from the grid's, with a 0.5 border; any other frame
+computes its own from its float64 depth. Either way each value is the
+same float64 result, rounded once.
+
 Motion fields are read-only. Consecutive frames without sprites whose
 velocity has the same float32 bits share one field, so a constant pan
 holds one field however many frames it has; a caller that edits a motion
@@ -241,9 +249,9 @@ def _chunks(config: SceneConfig, coords: Iterator) -> Iterator[list]:
     yield chunk
 
 
-def _chunk_planes(config: SceneConfig, coords: list) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Each frame's (texture, depth) noise planes, for frames given as
-    (xs, ys) sample coordinates; depth is None below 4 channels.
+def _chunk_planes(config: SceneConfig, coords: list) -> Iterator[np.ndarray]:
+    """Each frame's float32 channels, for frames given as (xs, ys) sample
+    coordinates.
 
     The noise is evaluated once on the grid of the frames' distinct xs and
     ys and gathered per frame. Each noise value is an elementwise function
@@ -252,38 +260,56 @@ def _chunk_planes(config: SceneConfig, coords: list) -> Iterator[tuple[np.ndarra
     """
     grid_x, x_index = np.unique(np.concatenate([xs for xs, _ in coords]), return_inverse=True)
     grid_y, y_index = np.unique(np.concatenate([ys for _, ys in coords]), return_inverse=True)
+    frames = len(coords)
+    x_index, y_index = x_index.reshape(frames, -1), y_index.reshape(frames, -1)
+    # Where a frame's neighbouring pixels are neighbours on the grid, its
+    # depth gradients inside its border are the grid's.
+    on_grid = (np.diff(x_index) == 1).all(axis=1) & (np.diff(y_index) == 1).all(axis=1)
+    grid = np.empty((config.channels, grid_y.size, grid_x.size), dtype=np.float32)
+    colours = min(3, config.channels)
     # Squaring spreads the octave-averaged noise (which clusters near 0.5)
     # over [0, 1] with mass near 0, so relative frame deltas are large
     # enough for SMAPE thresholds in the 0.2 range to matter.
-    texture = (
-        _fbm(grid_x, grid_y, _texture_salts(config), octaves=config.texture_octaves,
-             base_cell=config.base_cell)
-        ** 2
-    )
-    depth = _depth_field(grid_x, grid_y, config.seed, config.base_cell) if config.channels >= 4 else None
-    frames = len(coords)
-    for cols, rows in zip(x_index.reshape(frames, -1), y_index.reshape(frames, -1)):
-        rows = rows[:, None]
-        yield texture[:, rows, cols], None if depth is None else depth[rows, cols]
-
-
-def _stack_channels(config: SceneConfig, texture: np.ndarray, depth: np.ndarray | None) -> np.ndarray:
-    """A frame's channels from its noise planes: colour, depth, the depth
-    gradients, then the extra texture planes, as float32."""
-    colours = min(3, config.channels)
-    planes = list(texture[:colours])
+    texture = _fbm(grid_x, grid_y, _texture_salts(config), octaves=config.texture_octaves,
+                   base_cell=config.base_cell) ** 2
+    grid[:colours], grid[6:] = texture[:colours], texture[colours:]
     if config.channels >= 4:
-        planes.append(depth)
-    if config.channels >= 5:
-        gx = np.zeros_like(depth)
-        gy = np.zeros_like(depth)
-        gx[:, 1:-1] = 0.5 * (depth[:, 2:] - depth[:, :-2])
-        gy[1:-1, :] = 0.5 * (depth[2:, :] - depth[:-2, :])
-        planes.append(np.clip(0.5 + _GRAD_SCALE * gx, 0.0, 1.0))
-        if config.channels >= 6:
-            planes.append(np.clip(0.5 + _GRAD_SCALE * gy, 0.0, 1.0))
-    planes.extend(texture[colours:])
-    return np.stack(planes[: config.channels]).astype(np.float32)
+        depth = _depth_field(grid_x, grid_y, config.seed, config.base_cell)
+        grid[3] = depth
+        if config.channels >= 5 and on_grid.any():
+            _depth_gradients(depth, grid[4:6])
+    # x first, unless rows first gathers less, as on a pan along y.
+    x_first = grid_y.size * config.width <= config.height * grid_x.size
+
+    def gather(planes, cols, rows, out=None):
+        # In range, "wrap" takes what "raise" would, without buffering out.
+        if x_first:
+            return planes.take(cols, axis=-1).take(rows, axis=-2, out=out, mode="wrap")
+        return planes.take(rows, axis=-2).take(cols, axis=-1, out=out, mode="wrap")
+
+    for cols, rows, adjacent in zip(x_index, y_index, on_grid):
+        channels = np.empty((config.channels, config.height, config.width), dtype=np.float32)
+        gather(grid, cols, rows, out=channels)
+        if config.channels >= 5 and adjacent:
+            gx, gy = channels[4], channels[5:6]
+            gx[:, 0] = gx[:, -1] = gy[:, 0] = gy[:, -1] = 0.5
+        elif config.channels >= 5:
+            _depth_gradients(gather(depth, cols, rows), channels[4:6])
+        yield channels
+
+
+def _depth_gradients(depth: np.ndarray, out: np.ndarray) -> None:
+    """Write clip(0.5 + _GRAD_SCALE * (central difference of depth)) along
+    x, then along y if out has a second plane, into out. The difference is
+    0 on the border columns (rows), so they hold 0.5."""
+    grads = np.zeros((len(out),) + depth.shape)
+    np.subtract(depth[:, 2:], depth[:, :-2], out=grads[0, :, 1:-1])
+    if len(out) > 1:
+        np.subtract(depth[2:], depth[:-2], out=grads[1, 1:-1])
+    grads *= 0.5
+    grads *= _GRAD_SCALE
+    grads += 0.5
+    out[...] = np.clip(grads, 0.0, 1.0, out=grads)
 
 
 @dataclass(frozen=True)
@@ -388,8 +414,7 @@ def _frames(config: SceneConfig, frame_count: int) -> Iterator[FrameInput]:
     index = 0
     motion, velocity = None, None
     for chunk in _chunks(config, coords()):
-        for planes in _chunk_planes(config, chunk):
-            channels = _stack_channels(config, *planes)
+        for channels in _chunk_planes(config, chunk):
             # Keyed on the float32 bits, so that speeds 0.0 and -0.0 (whose
             # fields differ in sign bits) get fields of their own.
             frame_velocity = np.array(

@@ -383,6 +383,19 @@ class TestSuperresTradeoffScenario:
         assert all(full <= 2 and scaled == 0 for full, scaled in alive_while_scoring)
         assert len(tables[1].rows) == 5 * 4
 
+    def test_downscaled_frames_share_one_motion_field(self):
+        # The default scene pans at one speed, so its frames share one
+        # motion field, and each factor's frames share one downscaled copy.
+        frames, opts, _, scene = harness._prepare(minimal_config(), "superres_tradeoff")
+        factors = (opts.small_input_scale, opts.large_input_scale)
+        walked = harness._stream_reference(scene, frames, factors)
+        reference = generate(scene, 1)[0]
+        for scaled, factor in zip(walked, factors, strict=True):
+            assert len(scaled) == frames == 40
+            (motion,) = {id(frame.motion): frame.motion for frame in scaled}.values()
+            assert not motion.flags.writeable
+            assert motion.tobytes() == harness._downscale_frame(reference, factor).motion.tobytes()
+
     def test_failed_quality_check_reports_its_numbers(self, tmp_path, monkeypatch):
         # The scoring walk takes, per frame, mse(up, reference) for each
         # baseline row, then mse(up, reference) and mse(up, up_full) for

@@ -240,6 +240,41 @@ class TestChunks:
             assert frame.motion.tobytes() == reference.motion.tobytes()
 
 
+class TestFrameAssembly:
+    """Each frame is written into an array of its own, whichever axis its
+    chunk's gathers take first and wherever its depth gradients come from."""
+
+    @pytest.mark.parametrize("channels", [1, 4, 5, 6, 8])
+    @pytest.mark.parametrize(
+        "direction, speed",
+        # Along x (gathered x first), along y (y first), a diagonal whose
+        # integer steps repeat columns and rows across its chunk, and a
+        # half-pixel pan whose frames interleave on the grid, so that each
+        # computes its own depth gradients.
+        [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((3.0, 4.0), 5.0), ((1.0, 0.0), 0.5)],
+    )
+    def test_frames_own_c_contiguous_float32_inputs(self, channels, direction, speed):
+        config = SceneConfig(
+            seed=5, channels=channels, height=12, width=20, pan_speed=speed, pan_direction=direction
+        )
+        chunks, chunk_planes = [], workload._chunk_planes
+
+        def recording_chunk_planes(config, coords):
+            chunks.append(len(coords))
+            return chunk_planes(config, coords)
+
+        with mock.patch.object(workload, "_chunk_planes", recording_chunk_planes):
+            frames = generate(config, 6).frames
+        assert max(chunks) > 1
+        for frame in frames:
+            assert frame.input.dtype == np.float32
+            assert frame.input.flags.c_contiguous and frame.input.flags.owndata
+        for i, frame in enumerate(frames):
+            for other in frames[i + 1 :]:
+                assert not np.shares_memory(frame.input, other.input)
+        assert_matches_seed_generator(config, 6)
+
+
 class TestFrameLayout:
     """Channel layout, dtypes and value ranges."""
 
