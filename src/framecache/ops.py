@@ -360,10 +360,11 @@ def block_mean(x: np.ndarray, factor: int) -> np.ndarray:
     """Area-average downsample by an integer factor; dims must divide.
 
     The mean is numpy's mean(axis=(2, 4), dtype=float64) of a (C, H/f, f,
-    W/f, f) view, rounded once to float32. For float32 maps, factors below
-    8 and more than one block per row, its order (from +0.0, add each
-    block row's sum, from the top) is written out in slice adds, whatever
-    x's strides; elsewhere numpy sums some runs pairwise, so it runs as is.
+    W/f, f) view, rounded once to float32. For a float32 map, a factor
+    below 8 and more than one block per row, numpy's order (from +0.0, add
+    each block row's sum, from the top) is written out in slice adds,
+    whatever x's strides. Numpy sums runs of 8 or more terms pairwise and
+    a one-block row as one run, so those, and other dtypes, use its mean.
     """
     _check_map(x)
     if factor < 1:
