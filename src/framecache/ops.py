@@ -357,15 +357,7 @@ def upsample_nearest2(x: np.ndarray) -> np.ndarray:
 
 
 def block_mean(x: np.ndarray, factor: int) -> np.ndarray:
-    """Area-average downsample by an integer factor; dims must divide.
-
-    The mean is numpy's mean(axis=(2, 4), dtype=float64) of a (C, H/f, f,
-    W/f, f) view, rounded once to float32. For a float32 map, a factor
-    below 8 and more than one block per row, numpy's order (from +0.0, add
-    each block row's sum, from the top) is written out in slice adds,
-    whatever x's strides. Numpy sums runs of 8 or more terms pairwise and
-    a one-block row as one run, so those, and other dtypes, use its mean.
-    """
+    """Area-average downsample by an integer factor; dims must divide."""
     _check_map(x)
     if factor < 1:
         raise ValueError("factor must be >= 1")
@@ -373,16 +365,7 @@ def block_mean(x: np.ndarray, factor: int) -> np.ndarray:
     if h % factor or w % factor:
         raise ValueError(f"block_mean factor {factor} does not divide {h}x{w}")
     blocks = x.reshape(c, h // factor, factor, w // factor, factor)
-    if x.dtype != np.float32 or factor >= 8 or w == factor:
-        return blocks.mean(axis=(2, 4), dtype=np.float64).astype(np.float32)
-    total = np.zeros((c, h // factor, w // factor))
-    for a in range(factor):
-        row = blocks[:, :, a, :, 0].astype(np.float64)
-        for b in range(1, factor):
-            row += blocks[:, :, a, :, b]
-        total += row
-    total /= factor * factor
-    return total.astype(np.float32)
+    return blocks.mean(axis=(2, 4), dtype=np.float64).astype(np.float32)
 
 
 def repeat_nearest(x: np.ndarray, factor: int) -> np.ndarray:

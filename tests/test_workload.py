@@ -241,16 +241,16 @@ class TestChunks:
 
 
 class TestFrameAssembly:
-    """Each frame is written into an array of its own, whichever axis its
-    chunk's gathers take first and wherever its depth gradients come from."""
+    """Each frame is written into an array of its own, wherever its depth
+    gradients come from."""
 
     @pytest.mark.parametrize("channels", [1, 4, 5, 6, 8])
     @pytest.mark.parametrize(
         "direction, speed",
-        # Along x (gathered x first), along y (y first), a diagonal whose
-        # integer steps repeat columns and rows across its chunk, and a
-        # half-pixel pan whose frames interleave on the grid, so that each
-        # computes its own depth gradients.
+        # Along x, along y, a diagonal whose integer steps repeat columns
+        # and rows across its chunk, and a half-pixel pan whose frames
+        # interleave on the grid, so that each computes its own depth
+        # gradients.
         [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((3.0, 4.0), 5.0), ((1.0, 0.0), 0.5)],
     )
     def test_frames_own_c_contiguous_float32_inputs(self, channels, direction, speed):
