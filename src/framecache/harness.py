@@ -872,12 +872,15 @@ def scenario_null_hypothesis(cfg: RunConfig) -> list[Table]:
     ]
 
 
-def _downscale_frame(frame: FrameInput, factor: int) -> FrameInput:
+def _downscale_frame(frame: FrameInput, factor: int, motion=None) -> FrameInput:
     """Area-average a reference frame to a smaller network input.
 
-    Motion vectors are averaged and rescaled into the coarse pixel grid.
+    Motion vectors are averaged and rescaled into the coarse pixel grid,
+    unless motion gives the downscaled field to use; the field is read-only.
     """
-    motion = (block_mean(frame.motion, factor) / factor).astype(np.float32)
+    if motion is None:
+        motion = (block_mean(frame.motion, factor) / factor).astype(np.float32)
+        motion.setflags(write=False)
     return FrameInput(frame.index, block_mean(frame.input, factor), motion)
 
 
@@ -885,19 +888,15 @@ def _stream_reference(scene: SceneConfig, frame_count: int, factors):
     """Walk a reference scene one frame at a time, keeping only each
     frame's _downscale_frame at each factor; no full-resolution frame is
     alive once this returns. Returns one frame list per factor. A frame
-    whose motion field is the previous frame's (see workload) keeps the
-    previous downscaled field instead of its own copy; the downscaled
-    fields are read-only.
+    whose motion field is the previous frame's (see workload) shares the
+    previous downscaled field instead of downscaling its own.
     """
     scaled = [[] for _ in factors]
     motion = None
     for frame in iter_frames(scene, frame_count):
+        shared = frame.motion is motion
         for frames, factor in zip(scaled, factors):
-            small = _downscale_frame(frame, factor)
-            if frame.motion is motion:
-                small.motion = frames[-1].motion
-            small.motion.setflags(write=False)
-            frames.append(small)
+            frames.append(_downscale_frame(frame, factor, frames[-1].motion if shared else None))
         motion = frame.motion
     return scaled
 

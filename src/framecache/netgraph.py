@@ -13,7 +13,6 @@ input once per set of entries, so cached frames that share it write only
 the live channels.
 """
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -337,18 +336,18 @@ def _cached_value(spec: NetworkSpec, entries: dict[str, np.ndarray], edge: Edge)
     return value
 
 
-class CacheState(Mapping):
+class CacheState:
     """Cache entries, the producer-side tensors of the cached edges, plus
-    the prepared inputs of the live blocks that read them. It reads as
-    the mapping of its entries.
+    the prepared inputs of the live blocks that read them.
 
     The first cached pass after the entries are set applies the slot ops
     to the cached edges of each such block and writes their channels into
     the block's input buffer; later passes of the same spec write only the
     live slots' channels into it. The buffer outlives new entries, which
-    only mark its cached channels for writing again. Only the block's ops
-    read the buffer, so it never becomes an output or an edge tensor. A
-    state serves one pass at a time.
+    only mark its cached channels for writing again; it is made again only
+    for a new spec or when the dtype its parts concatenate to changes.
+    Only the block's ops read the buffer, so it never becomes an output or
+    an edge tensor. A state serves one pass at a time.
     """
 
     def __init__(self, entries: dict[str, np.ndarray]):
@@ -357,15 +356,6 @@ class CacheState(Mapping):
         # block name -> (live slots' dtypes, buffer, per-slot channel views)
         self._inputs: dict[str, tuple] = {}
         self._current: set[str] = set()  # blocks whose cached channels hold entries
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.entries[name]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def refresh(self, entries: dict[str, np.ndarray]) -> None:
         """Replace the entries; the next cached pass rewrites the cached

@@ -4,57 +4,38 @@ Feature maps are plain numpy arrays of shape (channels, height, width),
 dtype float32 and C-contiguous, so the flat layout is channel-major then
 row-major. Every operation here returns a new array that depends only on
 its arguments; conv2d alone keeps scratch state, a per-thread workspace
-that no result shares. The convolution accumulates in float64 and rounds
+that no result shares, so a thread's outputs do not depend on what other
+threads run.
+
+conv2d is an im2col matrix product that accumulates in float64 and rounds
 once back to float32, which keeps repeated evaluations bit-identical and
-keeps the result within one float32 ulp of the exact sum regardless of
-summation order.
+the result within one float32 ulp of the exact sum regardless of summation
+order. Its float64 operands, the weights converted once per ConvParams and
+the windows cast in the copy that fills the im2col matrix, are the same as
+a per-call cast of the weights and of a float32 im2col matrix would give.
 
-The convolution is an im2col matrix product. Each ConvParams converts its
-weights and bias to float64 once, when it is built, and conv2d casts the
-input to float64 while it copies the windows, so each call makes one copy
-of the expanded input instead of two. The float64 operands of the product
-are the same as a per-call cast of the weights and of a float32 im2col
-matrix would give.
+The im2col matrix is built and multiplied one band of output rows at a
+time, at most _BAND_BYTES of it. The budget is a constant, never read from
+the host, so band heights, and with them output bytes, depend on config
+and seed alone. When a map needs more than one band, the band height is
+rounded down to a row count whose columns are a multiple of 8, but not
+below the least such count, so every band starts at a multiple of 8
+columns; a map that fits in one band stays one whole product. Every output
+is then the same K-long dot product of the same float64 operands, and on
+the SkylakeX, Haswell, Sandybridge, Prescott and Katmai OpenBLAS kernels
+such bands matched the whole product's columns bit for bit at every map
+width tried, 5 to 48; unaligned bands did not.
 
-conv2d builds the im2col matrix one band of output rows at a time and
-multiplies each band into its columns of the result. _BAND_BYTES, 512 KiB,
-sizes the bands for a core's L2 cache, which holds both the band, between
-the copy that fills it and the product that reads it, and the copy of the
-band that BLAS packs for its product; at 1 MiB the two filled the 2 MiB L2
-of the Xeon the budget was tuned on. On that host the budget also keeps
-nearly every band within the size, 10^6 multiply-adds, up to which the
-SkylakeX OpenBLAS kernel multiplies without packing. There, at one BLAS
-thread, 512 KiB made a cached 48x48 frame of the stream U-Net 10% faster
-than 1 MiB, and a refresh frame 9% faster, in ten alternated benchmark
-runs; in-process sweeps put 384 and 512 KiB ahead of 256, 768 and 1024
-KiB, and the default suite wrote the same bytes at each of them. The
-budget is a constant, never read from the host, so band heights, and
-with them output bytes, depend on config and seed alone.
-
-conv2d keeps a grow-only workspace per thread: the padded input, in the
-input's dtype, the band and the float64 accumulator, plus, per input
-geometry and _BAND_BYTES value, the band plan and the views of those
-buffers. A call copies its input into the workspace, fills and multiplies
-its bands and returns the accumulator cast to a new float32 array, so no
-output shares the workspace, and a thread's outputs do not depend on what
-other threads run.
-
-Every output is still the same K-long dot product of the same float64
-operands. When a map needs more than one band, the band height is rounded
-down to a row count whose columns are a multiple of 8, but not below the
-least such count, so every band starts at a multiple of 8 columns; a map
-that fits in one band stays one whole product. On the SkylakeX, Haswell,
-Sandybridge, Prescott and Katmai OpenBLAS kernels, such bands matched the
-whole product's float64 columns bit for bit at every map width tried, 5
-to 48; unaligned bands did not. Two exceptions are known. The Nehalem
-kernel moved some other heights of 24- and 48-wide maps by an ulp, though
-none that the default networks use at this budget. And on SkylakeX a band
-within the unpacked size sums all K terms in one pass, where a larger
-product sums them in blocks of 384, so where K exceeds 384 its columns can
-differ from the whole product's: the 6-row bands of the default U-Net's
-48->16 convolution at 24x24 (K 432) do. The float32 rounding absorbed
-every such move the tests and the golden check met, but that is measured,
-not guaranteed.
+Two exceptions are known. The Nehalem kernel moved some other heights of
+24- and 48-wide maps by an ulp, though none that the default networks use
+at this budget. And SkylakeX multiplies a band of at most 10^6
+multiply-adds without packing, summing all K terms in one pass, where a
+larger product sums them in blocks of 384; so where K exceeds 384 its
+columns can differ from the whole product's: the 6-row bands of the
+default U-Net's 48->16 convolution at 24x24 (K 432) do. The float32
+rounding absorbed every such move the tests and the golden check met, but
+that is measured, not guaranteed. CHANGES.md records the budget sweeps and
+timings behind these choices.
 """
 
 import math
@@ -174,15 +155,13 @@ class _Workspace(threading.local):
     """One thread's conv2d scratch: grow-only flat buffers for the padded
     input (raw bytes, viewed in the input's dtype), the float64 band and
     the float64 accumulator, and the _Plan of each geometry seen since the
-    buffers last grew. border is (padded layout, channels) of the padded
-    maps whose zero border is intact, or None."""
+    buffers last grew. Every plan views the same buffers."""
 
     def __init__(self):
         self.pad = np.empty(0, dtype=np.uint8)
         self.band = np.empty(0, dtype=np.float64)
         self.acc = np.empty(0, dtype=np.float64)
         self.plans = {}
-        self.border = None
 
 
 _workspace = _Workspace()
@@ -192,20 +171,17 @@ _workspace = _Workspace()
 class _Plan:
     """conv2d's views of the workspace for one input geometry and budget.
 
-    layout is (dtype, padded height, padded width, padding); inner is where
-    the input is copied inside its padded map and strips the map's border.
-    windows holds each band's slice of the window view of the padded map,
-    or None unpadded, where the window view is of the input itself and
-    rows gives each band's output rows. bands and flats are each band's
-    im2col block as (C, kh, kw, rows, out_w) and as (K, columns), outs its
-    columns of acc, and out is acc as (out_channels, out_h, out_w).
+    inner is where the input is copied inside its padded map, the whole map
+    when padding is 0, and strips is the map's border, which another plan's
+    map may have overwritten. windows holds each band's slice of the window
+    view of the padded map. bands and flats are each band's im2col block as
+    (C, kh, kw, rows, out_w) and as (K, columns), outs its columns of acc,
+    and out is acc as (out_channels, out_h, out_w).
     """
 
-    layout: tuple
-    inner: np.ndarray | None
+    inner: np.ndarray
     strips: tuple
-    windows: tuple | None
-    rows: tuple
+    windows: tuple
     bands: tuple
     flats: tuple
     outs: tuple
@@ -221,19 +197,7 @@ def _buffer(ws: _Workspace, name: str, size: int) -> np.ndarray:
         buffer = np.empty(size, dtype=buffer.dtype)
         setattr(ws, name, buffer)
         ws.plans.clear()
-        ws.border = None
     return buffer
-
-
-def _window_view(xp: np.ndarray, params: ConvParams, out_h: int, out_w: int) -> np.ndarray:
-    """The (C, kh, kw, out_h, out_w) read-only view of xp's windows."""
-    s0, s1, s2 = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(xp.shape[0], params.kernel_h, params.kernel_w, out_h, out_w),
-        strides=(s0, s1, s2, s1 * params.stride, s2 * params.stride),
-        writeable=False,
-    )
 
 
 def _make_plan(ws: _Workspace, x: np.ndarray, params: ConvParams, budget: int) -> _Plan:
@@ -251,22 +215,21 @@ def _make_plan(ws: _Workspace, x: np.ndarray, params: ConvParams, budget: int) -
     band = _buffer(ws, "band", k * rows * out_w)
     acc = _buffer(ws, "acc", params.out_channels * out_h * out_w)
     acc = acc[:params.out_channels * out_h * out_w].reshape(params.out_channels, -1)
+    pad = _buffer(ws, "pad", c * hp * wp * x.itemsize)
+    xp = pad[:c * hp * wp * x.itemsize].view(x.dtype).reshape(c, hp, wp)
+    s0, s1, s2 = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=kernel + (out_h, out_w),
+        strides=(s0, s1, s2, s1 * params.stride, s2 * params.stride),
+        writeable=False,
+    )
     spans = tuple((r0, min(r0 + rows, out_h)) for r0 in range(0, out_h, rows))
     bands = tuple(band[:k * (r1 - r0) * out_w].reshape(kernel + (r1 - r0, out_w)) for r0, r1 in spans)
-    inner, strips, windows = None, (), None
-    if p:
-        pad = _buffer(ws, "pad", c * hp * wp * x.itemsize)
-        xp = pad[:c * hp * wp * x.itemsize].view(x.dtype).reshape(c, hp, wp)
-        inner = xp[:, p:p + h, p:p + w]
-        strips = (xp[:, :p], xp[:, p + h:], xp[:, p:p + h, :p], xp[:, p:p + h, p + w:])
-        view = _window_view(xp, params, out_h, out_w)
-        windows = tuple(view[:, :, :, r0:r1] for r0, r1 in spans)
     return _Plan(
-        layout=(x.dtype, hp, wp, p),
-        inner=inner,
-        strips=strips,
-        windows=windows,
-        rows=spans,
+        inner=xp[:, p:p + h, p:p + w],
+        strips=(xp[:, :p], xp[:, p + h:], xp[:, p:p + h, :p], xp[:, p:p + h, p + w:]) if p else (),
+        windows=tuple(view[:, :, :, r0:r1] for r0, r1 in spans),
         bands=bands,
         flats=tuple(b.reshape(k, -1) for b in bands),
         outs=tuple(acc[:, r0 * out_w:r1 * out_w] for r0, r1 in spans),
@@ -294,20 +257,10 @@ def conv2d(x: np.ndarray, params: ConvParams) -> np.ndarray:
     plan = ws.plans.get(key)
     if plan is None:
         plan = ws.plans[key] = _make_plan(ws, x, params, _BAND_BYTES)
-    if plan.inner is not None:
-        # Maps of one padded layout write only inside their border, so a
-        # border stays zero until a map of another layout is padded.
-        border = ws.border
-        if border is None or border[0] != plan.layout or border[1] < c:
-            for strip in plan.strips:
-                strip.fill(0)
-            ws.border = (plan.layout, c)
-        np.copyto(plan.inner, x)
-        windows = plan.windows
-    else:
-        view = _window_view(x, params, *plan.out.shape[1:])
-        windows = [view[:, :, :, r0:r1] for r0, r1 in plan.rows]
-    for band, window, flat, out in zip(plan.bands, windows, plan.flats, plan.outs):
+    for strip in plan.strips:
+        strip.fill(0)
+    np.copyto(plan.inner, x)
+    for band, window, flat, out in zip(plan.bands, plan.windows, plan.flats, plan.outs):
         np.copyto(band, window)
         np.matmul(params._wmat, flat, out=out)
     acc = plan.acc

@@ -339,7 +339,7 @@ def run_recording_entries(spec, frames, policy, corruption, memo):
     forward_cached = engine.forward_cached
 
     def recording(spec_, x, cache):
-        keys.append(list(cache))
+        keys.append(list(cache.entries))
         return forward_cached(spec_, x, cache)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -587,7 +587,7 @@ class TestPreparedCachedInputs:
                 before = dict(counts)
                 result = inner(spec_, x, cache)
                 made = {name: counts[name] - before[name] for name in counts}
-                calls.append((x, dict(cache), made, result.output.tobytes()))
+                calls.append((x, dict(cache.entries), made, result.output.tobytes()))
                 return result
 
             patch.setattr(engine, "forward_cached", recording)

@@ -351,8 +351,8 @@ class TestSuperresTradeoffScenario:
                         refs.append(weakref.ref(array))
                 yield frame
 
-        def recording_downscale(frame, factor):
-            scaled = downscale_frame(frame, factor)
+        def recording_downscale(frame, factor, motion=None):
+            scaled = downscale_frame(frame, factor, motion)
             scaled_refs.extend([weakref.ref(scaled.input), weakref.ref(scaled.motion)])
             return scaled
 

@@ -1,8 +1,9 @@
-"""Static checks that each package module's imports and __all__ agree.
+"""Static checks that each package module's imports, __all__ and private
+names agree with its code.
 
-Deleting a function tends to leave its imports behind, or its name in the
-module's __all__; both checks read the source with ast, so they run
-without importing anything.
+Deleting a function tends to leave its imports behind, its name in the
+module's __all__, or a private helper only it called; the checks read the
+source with ast, so they run without importing anything.
 """
 
 import ast
@@ -52,6 +53,17 @@ def used_names(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def read_names(tree):
+    """The names the module loads, and the attribute names it reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used_or_exported(path):
     tree = ast.parse(path.read_text())
@@ -64,3 +76,11 @@ def test_every_export_exists(path):
     tree = ast.parse(path.read_text())
     missing = exported_names(tree) - defined_names(tree) - imported_names(tree)
     assert not missing, f"{path.name} lists names in __all__ it does not define: {sorted(missing)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_private_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    private = {name for name in defined_names(tree) if name.startswith("_") and not name.startswith("__")}
+    unread = private - read_names(tree)
+    assert not unread, f"{path.name} defines private names it never reads: {sorted(unread)}"
