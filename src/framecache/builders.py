@@ -5,19 +5,16 @@ All weights come from a seeded generator with He-style scaling
 the fixed recipe conv3x3 -> relu -> conv3x3 -> relu with channels doubling
 per depth, and every network ends in a 1x1 output conv with no activation.
 Builds are deterministic: same arguments and seed give bit-identical
-weights.
+weights. A block's name is its only identity: the cache configs name
+edges by their blocks, and set_unet_level counts a U-Net's depth from the
+enc{i} names that build_unet gives its encoder.
 """
 
 import numpy as np
 
 from .netgraph import (
     INPUT,
-    KIND_BRANCH,
-    KIND_FUSION,
-    KIND_UNET,
-    KIND_UNETPP,
     Block,
-    BlockId,
     CacheConfig,
     NetworkSpec,
     make_network_spec,
@@ -122,23 +119,11 @@ def build_unet(
     rng = np.random.default_rng(seed)
     blocks: list[Block] = []
 
-    blocks.append(
-        Block(
-            name="enc0",
-            ident=BlockId(KIND_UNET, 0, 0),
-            inputs=((INPUT, "none"),),
-            ops=_conv_block_ops(rng, in_c, base_channels),
-        )
-    )
-    for i in range(1, depth):
-        blocks.append(
-            Block(
-                name=f"enc{i}",
-                ident=BlockId(KIND_UNET, i, 0),
-                inputs=((f"enc{i - 1}", "maxpool2"),),
-                ops=_conv_block_ops(rng, base_channels << (i - 1), base_channels << i),
-            )
-        )
+    source, source_c = (INPUT, "none"), in_c
+    for i in range(depth):
+        ops = _conv_block_ops(rng, source_c, base_channels << i)
+        blocks.append(Block(name=f"enc{i}", inputs=(source,), ops=ops))
+        source, source_c = (f"enc{i}", "maxpool2"), base_channels << i
     for i in range(depth - 2, -1, -1):
         deep = f"enc{depth - 1}" if i == depth - 2 else f"dec{i + 1}"
         deep_c = base_channels << (i + 1)
@@ -146,7 +131,6 @@ def build_unet(
         blocks.append(
             Block(
                 name=f"dec{i}",
-                ident=BlockId(KIND_UNET, i, 1),
                 inputs=((deep, "upsample2"), (f"enc{i}", "none")),
                 ops=_conv_block_ops(rng, deep_c + skip_c, skip_c),
             )
@@ -154,7 +138,6 @@ def build_unet(
     blocks.append(
         Block(
             name="head",
-            ident=BlockId(KIND_FUSION, 0, 0),
             inputs=(("dec0", "none"),),
             ops=(make_conv(rng, base_channels, out_channels, kernel=1),),
         )
@@ -181,7 +164,13 @@ def unet_level_config(depth: int, level: int) -> CacheConfig:
 
 
 def set_unet_level(spec: NetworkSpec, level: int) -> NetworkSpec:
-    depth = 1 + max(b.ident.depth for b in spec.blocks.values() if b.ident.kind == KIND_UNET)
+    """spec with unet_level_config(depth, level), its depth counted from
+    the enc0, enc1, ... blocks that build_unet names."""
+    depth = 0
+    while f"enc{depth}" in spec.blocks:
+        depth += 1
+    if not depth:
+        raise ValueError("set_unet_level needs a build_unet spec; this one has no enc{i} blocks")
     return replace_cache_config(spec, unet_level_config(depth, level))
 
 
@@ -215,26 +204,12 @@ def build_unetpp(
     rng = np.random.default_rng(seed)
     blocks: list[Block] = []
 
+    source, source_c = (INPUT, "none"), in_c
     for i in range(depth + 1):
         row_c = base_channels << i
-        if i == 0:
-            blocks.append(
-                Block(
-                    name="x0.0",
-                    ident=BlockId(KIND_UNETPP, 0, 0),
-                    inputs=((INPUT, "none"),),
-                    ops=_conv_block_ops(rng, in_c, row_c),
-                )
-            )
-        else:
-            blocks.append(
-                Block(
-                    name=f"x{i}.0",
-                    ident=BlockId(KIND_UNETPP, i, 0),
-                    inputs=((f"x{i - 1}.0", "maxpool2"),),
-                    ops=_conv_block_ops(rng, row_c >> 1, row_c),
-                )
-            )
+        ops = _conv_block_ops(rng, source_c, row_c)
+        blocks.append(Block(name=f"x{i}.0", inputs=(source,), ops=ops))
+        source, source_c = (f"x{i}.0", "maxpool2"), row_c
     for i in range(depth):
         row_c = base_channels << i
         for j in range(1, depth - i + 1):
@@ -243,7 +218,6 @@ def build_unetpp(
             blocks.append(
                 Block(
                     name=f"x{i}.{j}",
-                    ident=BlockId(KIND_UNETPP, i, j),
                     inputs=row + ((f"x{i + 1}.{j - 1}", "upsample2"),),
                     ops=_conv_block_ops(rng, in_total, row_c),
                 )
@@ -251,7 +225,6 @@ def build_unetpp(
     blocks.append(
         Block(
             name="head",
-            ident=BlockId(KIND_FUSION, 0, 0),
             inputs=((f"x0.{depth}", "none"),),
             ops=(make_conv(rng, base_channels, out_channels, kernel=1),),
         )
@@ -316,19 +289,10 @@ def build_multibranch(
     unknown = set(cached_branches) - set(names)
     if unknown:
         raise ValueError(f"cached branches {sorted(unknown)} are not branch names")
-    blocks = [
-        Block(
-            name=name,
-            ident=BlockId(KIND_BRANCH, 0, idx),
-            inputs=((INPUT, "none"),),
-            ops=tuple(ops),
-        )
-        for idx, (name, ops) in enumerate(branches)
-    ]
+    blocks = [Block(name=name, inputs=((INPUT, "none"),), ops=tuple(ops)) for name, ops in branches]
     blocks.append(
         Block(
             name="fuse",
-            ident=BlockId(KIND_FUSION, 0, 0),
             inputs=tuple((name, "none") for name in names),
             ops=tuple(fusion_ops),
         )

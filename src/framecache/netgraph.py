@@ -1,16 +1,18 @@
 """Static network graphs and their full / cache-substituting forward passes.
 
-A network is a DAG of blocks. Each block names its inputs: an ordered
-list of slots, each holding one producer (another block or the network
-input) and an optional resampling (``maxpool2`` / ``upsample2``). The
-resampled slots are concatenated along channels and fed to the block's
-primitive sequence. The graph's edges, one per slot, are derived from the
-blocks. A CacheConfig names the edges whose producer-side tensors are
-stored on refresh frames and substituted at the consumer slots afterwards;
-the blocks a cached frame runs follow from those edges. A CacheState holds
-the stored tensors and writes the cached channels of each live block's
-input once per set of entries, so cached frames that share it write only
-the live channels.
+A network is a DAG of blocks. A block is its name, its inputs and its
+ops; the name is its only identity, and any structure beyond that (which
+blocks form the encoder, at what depth) is read from the graph. A block's
+inputs are an ordered list of slots, each holding one producer (another
+block or the network input) and an optional resampling (``maxpool2`` /
+``upsample2``). The resampled slots are concatenated along channels and
+fed to the block's primitive sequence. The graph's edges, one per slot,
+are derived from the blocks. A CacheConfig names the edges whose
+producer-side tensors are stored on refresh frames and substituted at the
+consumer slots afterwards; the blocks a cached frame runs follow from
+those edges. A CacheState holds the stored tensors and writes the cached
+channels of each live block's input once per set of entries, so cached
+frames that share it write only the live channels.
 """
 
 from dataclasses import dataclass, field, replace
@@ -30,32 +32,7 @@ from .ops import (
 
 INPUT = "input"
 
-KIND_UNET = "unet"
-KIND_UNETPP = "unetpp"
-KIND_BRANCH = "branch"
-KIND_FUSION = "fusion"
-
 SLOT_OPS = ("none", "maxpool2", "upsample2")
-
-
-@dataclass(frozen=True)
-class BlockId:
-    """Structured block identity: kind, depth (resolution level) and index.
-
-    For plain U-Nets index 0 marks the encoder block at that depth and
-    index 1 its mirror decoder; for the nested grid index is the position
-    along the skip pathway; branches use index for their list position.
-    """
-
-    kind: str
-    depth: int
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in (KIND_UNET, KIND_UNETPP, KIND_BRANCH, KIND_FUSION):
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.depth < 0 or self.index < 0:
-            raise ValueError("depth and index must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -71,12 +48,12 @@ class Edge:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """One node of the graph. inputs holds a (producer, slot op) pair per
-    input slot, in concat order; the producer is a block name or INPUT.
-    edges holds the edge into each slot, derived from inputs."""
+    """One node of the graph, identified by its name alone. inputs holds a
+    (producer, slot op) pair per input slot, in concat order; the producer
+    is a block name or INPUT. edges holds the edge into each slot, derived
+    from inputs."""
 
     name: str
-    ident: BlockId
     inputs: tuple[tuple[str, str], ...]
     ops: tuple  # ConvParams instances or "relu" / "maxpool2" / "upsample2"
     edges: tuple[Edge, ...] = field(init=False, repr=False)
@@ -246,14 +223,10 @@ def make_network_spec(
     if len(input_shape) != 3 or min(input_shape) < 1:
         raise ValueError(f"bad input shape {input_shape}")
     by_name: dict[str, Block] = {}
-    idents = set()
     for block in blocks:
         if block.name in by_name:
             raise ValueError(f"duplicate block name {block.name!r}")
-        if block.ident in idents:
-            raise ValueError(f"duplicate block id {block.ident}")
         by_name[block.name] = block
-        idents.add(block.ident)
     edges = tuple(edge for block in blocks for edge in block.edges)
     for edge in edges:
         if edge.src != INPUT and edge.src not in by_name:
@@ -317,10 +290,6 @@ def _apply(op: ConvParams | str, x: np.ndarray) -> np.ndarray:
     if op == "upsample2":
         return upsample_nearest2(x)
     return x  # "none"
-
-
-def _is_encoder(ident: BlockId) -> bool:
-    return ident.kind in (KIND_UNET, KIND_UNETPP) and ident.index == 0
 
 
 def _cached_value(spec: NetworkSpec, entries: dict[str, np.ndarray], edge: Edge) -> np.ndarray:
@@ -470,28 +439,35 @@ def forward_cached(
 def feature_delta_profile(spec: NetworkSpec, inputs: list[np.ndarray]) -> dict[int, list[float]]:
     """Per-encoder-depth SMAPE of each frame's features against frame 0's.
 
-    An encoder block's features are the tensor recorded on its first
-    outgoing edge, so every encoder block must feed one. Returns
-    {depth: [value per frame]}; the frame-0 entry is always 0.
+    The encoder blocks are the chain joined by ``maxpool2`` slots. It
+    starts at the one block whose output a ``maxpool2`` slot reads and
+    which reads no ``maxpool2`` slot itself; each next block pools the one
+    before it, and a block's depth is its position in the chain. Every
+    ``maxpool2`` slot must lie on that one chain, else there are no
+    encoder blocks to profile. An encoder block's features are the tensor
+    recorded on its first outgoing edge, so every encoder block must feed
+    one. Returns {depth: [value per frame]}; the frame-0 entry is always 0.
     """
     from .ops import smape
 
     if len(inputs) < 2:
         raise ValueError("feature_delta_profile needs at least two frames")
-    first_edge = {edge.src: edge.name for edge in reversed(spec.edges)}
-    levels = {}
-    for name in spec.order:
-        ident = spec.blocks[name].ident
-        if _is_encoder(ident):
-            levels[ident.depth] = first_edge[name]
-    if not levels:
+    pooled = [
+        (src, name) for name in spec.order for src, op in spec.blocks[name].inputs if op == "maxpool2"
+    ]
+    starts = {src for src, _ in pooled} - {dst for _, dst in pooled} - {INPUT}
+    following = dict(pooled)
+    chain = list(starts) if len(starts) == 1 else []
+    while chain and chain[-1] in following:
+        chain.append(following[chain[-1]])
+    if len(chain) != len(pooled) + 1:
         raise ValueError("network has no encoder blocks to profile")
+    first_edge = {edge.src: edge.name for edge in reversed(spec.edges)}
+    levels = {depth: first_edge[name] for depth, name in enumerate(chain)}
     records = [forward_full(spec, x, edges=levels.values()) for x in inputs]
     base = records[0].edge_tensors
-    profile: dict[int, list[float]] = {depth: [] for depth in sorted(levels)}
+    profile: dict[int, list[float]] = {depth: [] for depth in levels}
     for record in records:
-        for depth in profile:
-            edge = levels[depth]
+        for depth, edge in levels.items():
             profile[depth].append(smape(record.edge_tensors[edge], base[edge]))
     return profile
-

@@ -27,10 +27,8 @@ from framecache.builders import (
 from framecache.netgraph import (
     INPUT,
     Block,
-    BlockId,
     CacheConfig,
     Edge,
-    KIND_BRANCH,
     feature_delta_profile,
     forward_cached,
     forward_full,
@@ -164,6 +162,14 @@ class TestUnetStructure:
         # The original spec is untouched.
         assert spec.cache_config == unet_level_config(4, 1)
         assert deeper.full_flops == spec.full_flops
+
+    def test_set_unet_level_rejects_other_networks(self):
+        for spec in (
+            build_unetpp(2, 4, (3, 16, 16)),
+            build_superres(input_shape=(6, 16, 16), base_channels=4, lr_pool=1),
+        ):
+            with pytest.raises(ValueError, match=r"no enc\{i\} blocks"):
+                set_unet_level(spec, 1)
 
 
 class TestUnetppStructure:
@@ -600,8 +606,8 @@ class TestManualGraphs:
 
     def make_chain(self):
         return [
-            Block("a", BlockId(KIND_BRANCH, 0, 0), ((INPUT, "none"),), (identity_conv(3),)),
-            Block("b", BlockId(KIND_BRANCH, 0, 1), (("a", "none"),), (identity_conv(3),)),
+            Block("a", ((INPUT, "none"),), (identity_conv(3),)),
+            Block("b", (("a", "none"),), (identity_conv(3),)),
         ]
 
     def test_identity_chain_preserves_input(self):
@@ -619,37 +625,31 @@ class TestManualGraphs:
 
     def test_duplicate_names_rejected(self):
         blocks = self.make_chain()
-        blocks[1] = Block("a", BlockId(KIND_BRANCH, 0, 1), ((INPUT, "none"),), (identity_conv(3),))
+        blocks[1] = Block("a", ((INPUT, "none"),), (identity_conv(3),))
         with pytest.raises(ValueError, match="duplicate block name"):
             make_network_spec(blocks, (3, 8, 8), "a")
-
-    def test_duplicate_ident_rejected(self):
-        blocks = self.make_chain()
-        blocks[1] = Block("b", BlockId(KIND_BRANCH, 0, 0), (("a", "none"),), (identity_conv(3),))
-        with pytest.raises(ValueError, match="duplicate block id"):
-            make_network_spec(blocks, (3, 8, 8), "b")
 
     def test_bad_edges_rejected(self):
         # A block names its own slots, so only an unknown producer is left
         # to reject.
         blocks = self.make_chain()
-        blocks[1] = Block("b", BlockId(KIND_BRANCH, 0, 1), (("ghost", "none"),), (identity_conv(3),))
+        blocks[1] = Block("b", (("ghost", "none"),), (identity_conv(3),))
         with pytest.raises(ValueError, match="edge ghost->b:0 references unknown source"):
             make_network_spec(blocks, (3, 8, 8), "b")
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="block a needs at least one input slot"):
-            Block("a", BlockId(KIND_BRANCH, 0, 0), (), (identity_conv(3),))
+            Block("a", (), (identity_conv(3),))
 
     def test_unknown_slot_op_rejected(self):
         with pytest.raises(ValueError, match="unknown slot op 'upsample4' on block a"):
-            Block("a", BlockId(KIND_BRANCH, 0, 0), ((INPUT, "upsample4"),), (identity_conv(3),))
+            Block("a", ((INPUT, "upsample4"),), (identity_conv(3),))
 
     def test_edges_follow_block_then_slot_order(self):
         blocks = [
-            Block("a", BlockId(KIND_BRANCH, 0, 0), ((INPUT, "none"),), (identity_conv(3),)),
-            Block("b", BlockId(KIND_BRANCH, 0, 1), ((INPUT, "none"), ("a", "none")), (identity_conv(6),)),
-            Block("c", BlockId(KIND_BRANCH, 0, 2), (("b", "none"), ("a", "none")), (identity_conv(9),)),
+            Block("a", ((INPUT, "none"),), (identity_conv(3),)),
+            Block("b", ((INPUT, "none"), ("a", "none")), (identity_conv(6),)),
+            Block("c", (("b", "none"), ("a", "none")), (identity_conv(9),)),
         ]
         spec = make_network_spec(blocks, (3, 8, 8), "c")
         assert [edge.name for edge in spec.edges] == [
@@ -675,15 +675,11 @@ class TestManualGraphs:
 
     def test_cycle_rejected(self):
         blocks = [
-            Block("a", BlockId(KIND_BRANCH, 0, 0), ((INPUT, "none"), ("b", "none")), (identity_conv(6),)),
-            Block("b", BlockId(KIND_BRANCH, 0, 1), (("a", "none"),), (identity_conv(6),)),
+            Block("a", ((INPUT, "none"), ("b", "none")), (identity_conv(6),)),
+            Block("b", (("a", "none"),), (identity_conv(6),)),
         ]
         with pytest.raises(ValueError, match="cycle"):
             make_network_spec(blocks, (3, 8, 8), "b")
-
-    def test_bad_block_kind_rejected(self):
-        with pytest.raises(ValueError):
-            BlockId("pyramid", 0, 0)
 
     def test_edge_name_format(self):
         edge = Edge("enc1", "dec0", 0)
@@ -694,12 +690,16 @@ class TestFeatureDeltaProfile:
     """Per-depth feature drift relative to the first frame."""
 
     def test_identical_frames_give_zero_drift(self):
-        spec = build_unet(3, 4, (3, 16, 16))
-        x = random_input(spec, 6)
-        profile = feature_delta_profile(spec, [x, x.copy(), x.copy()])
-        assert set(profile) == {0, 1, 2}
-        for values in profile.values():
-            assert values == [0.0, 0.0, 0.0]
+        cases = [
+            (build_unet(3, 4, (3, 16, 16)), {0, 1, 2}),
+            (build_unetpp(3, 4, (3, 16, 16)), {0, 1, 2, 3}),
+        ]
+        for spec, depths in cases:
+            x = random_input(spec, 6)
+            profile = feature_delta_profile(spec, [x, x.copy(), x.copy()])
+            assert set(profile) == depths
+            for values in profile.values():
+                assert values == [0.0, 0.0, 0.0]
 
     def test_changed_frame_registers_at_every_depth(self):
         spec = build_unet(3, 4, (3, 16, 16))
@@ -716,6 +716,21 @@ class TestFeatureDeltaProfile:
 
     def test_needs_encoder_blocks(self):
         spec = build_superres(input_shape=(6, 16, 16), base_channels=4, lr_pool=1)
+        frames = [random_input(spec, s) for s in range(2)]
+        with pytest.raises(ValueError, match="encoder"):
+            feature_delta_profile(spec, frames)
+
+    def test_needs_one_encoder_chain(self):
+        # Two pooling chains, a -> b and c -> d, side by side: neither is
+        # the encoder.
+        blocks = [
+            Block("a", ((INPUT, "none"),), (identity_conv(3),)),
+            Block("b", (("a", "maxpool2"),), (identity_conv(3),)),
+            Block("c", ((INPUT, "none"),), (identity_conv(3),)),
+            Block("d", (("c", "maxpool2"),), (identity_conv(3),)),
+            Block("join", (("b", "none"), ("d", "none")), (identity_conv(6),)),
+        ]
+        spec = make_network_spec(blocks, (3, 8, 8), "join")
         frames = [random_input(spec, s) for s in range(2)]
         with pytest.raises(ValueError, match="encoder"):
             feature_delta_profile(spec, frames)
