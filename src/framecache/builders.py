@@ -16,6 +16,7 @@ from .netgraph import (
     INPUT,
     Block,
     CacheConfig,
+    Edge,
     NetworkSpec,
     make_network_spec,
     replace_cache_config,
@@ -36,32 +37,15 @@ __all__ = [
 ]
 
 
-def make_conv(
-    rng: np.random.Generator,
-    in_channels: int,
-    out_channels: int,
-    kernel: int = 3,
-    stride: int = 1,
-    padding: int | None = None,
-) -> ConvParams:
-    """Seeded He-initialized conv; padding defaults to kernel // 2."""
+def make_conv(rng: np.random.Generator, in_channels: int, out_channels: int, kernel: int = 3) -> ConvParams:
+    """Seeded He-initialized kernel x kernel conv with stride 1 and
+    padding kernel // 2, zero bias."""
     if out_channels < 1:
         raise ValueError(f"out_channels must be >= 1, got {out_channels}")
-    if padding is None:
-        padding = kernel // 2
     fan_in = in_channels * kernel * kernel
     weights = rng.standard_normal((out_channels, in_channels, kernel, kernel))
     weights = (weights * np.sqrt(2.0 / fan_in)).astype(np.float32)
-    return ConvParams(
-        in_channels=in_channels,
-        out_channels=out_channels,
-        kernel_h=kernel,
-        kernel_w=kernel,
-        weights=weights,
-        bias=np.zeros(out_channels, dtype=np.float32),
-        stride=stride,
-        padding=padding,
-    )
+    return ConvParams(weights, np.zeros(out_channels, dtype=np.float32), padding=kernel // 2)
 
 
 def _conv_block_ops(rng, in_channels: int, out_channels: int) -> tuple:
@@ -160,7 +144,7 @@ def unet_level_config(depth: int, level: int) -> CacheConfig:
     if not 1 <= level <= depth - 1:
         raise ValueError(f"cache level must be in [1, {depth - 1}], got {level}")
     deep = f"enc{depth - 1}" if level - 1 == depth - 2 else f"dec{level}"
-    return CacheConfig(f"unet_level_{level}", frozenset({f"{deep}->dec{level - 1}:0"}))
+    return CacheConfig(f"unet_level_{level}", frozenset({Edge(deep, f"dec{level - 1}", 0).name}))
 
 
 def set_unet_level(spec: NetworkSpec, level: int) -> NetworkSpec:
@@ -239,7 +223,7 @@ def build_unetpp(
 
 def unetpp_config_b(depth: int) -> CacheConfig:
     """Keep the full top row live; cache every deep input feeding it."""
-    cached = {f"x1.{j - 1}->x0.{j}:{j}" for j in range(1, depth + 1)}
+    cached = {Edge(f"x1.{j - 1}", f"x0.{j}", j).name for j in range(1, depth + 1)}
     return CacheConfig("unetpp_config_b", frozenset(cached))
 
 
@@ -254,7 +238,7 @@ def unetpp_config_a(depth: int) -> CacheConfig:
     for i in range(depth):
         last = depth - i
         for j in range(1, last):
-            cached.add(f"x{i}.{j}->x{i}.{last}:{j}")
+            cached.add(Edge(f"x{i}.{j}", f"x{i}.{last}", j).name)
     return CacheConfig("unetpp_config_a", frozenset(cached))
 
 
@@ -307,9 +291,7 @@ def build_multibranch(
 
 def multibranch_config(branch_names: list[str], cached_branches: set[str]) -> CacheConfig:
     cached = {
-        f"{name}->fuse:{slot}"
-        for slot, name in enumerate(branch_names)
-        if name in cached_branches
+        Edge(name, "fuse", slot).name for slot, name in enumerate(branch_names) if name in cached_branches
     }
     return CacheConfig("multibranch[" + ",".join(sorted(cached_branches)) + "]", frozenset(cached))
 

@@ -87,13 +87,16 @@ class Corruption:
 def corrupt_cache(
     entries: dict[str, np.ndarray], mode: Corruption, rng: np.random.Generator | None = None
 ) -> dict[str, np.ndarray]:
-    """Return the entries rewritten, in the same order; shapes are preserved."""
+    """Return the entries rewritten, shapes preserved, in descending edge
+    name order. The random kinds draw entry by entry in that order, so the
+    result does not depend on the order the dict holds its entries in."""
     if not entries:
         raise ValueError("cannot corrupt an empty cache")
     if rng is None:
         rng = np.random.default_rng(mode.seed)
     out: dict[str, np.ndarray] = {}
-    for name, entry in entries.items():
+    for name in sorted(entries, reverse=True):
+        entry = entries[name]
         if mode.kind == "zero":
             out[name] = np.zeros_like(entry)
         elif mode.kind == "uniform_random":
@@ -252,8 +255,6 @@ def run_sequence(
                 missing = [name for name in spec.cache_config.cached_edges if name not in result.edge_tensors]
                 if missing:
                     raise ValueError(f"the memo keeps no edge tensors {sorted(missing)} for refresh frame {index}")
-            # The order _execute records edges in, so corruption draws in
-            # the same order with or without the memo.
             entries = {name: result.edge_tensors[name] for name in spec.cache_config.cached_edges}
             if corruption is not None:
                 rng = np.random.default_rng([corruption.seed, index])

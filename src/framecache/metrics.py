@@ -75,8 +75,8 @@ class PreparedReference:
     """A baseline frame with the parts of its scores that depend on it alone.
 
     Holds the frame array, its float64 SSIM window means and variances
-    (C x n_h x n_w each) and, per peak, its (mse, ssim, smape) against
-    itself once self_scores asks for it. The frame must not change while
+    (C x n_h x n_w each) and its (mse, ssim, smape) against itself once
+    self_scores asks for it. The frame must not change while
     the reference is in use; full_passes outputs are read-only. It keeps no
     float64 copy of the frame: each score converts it again, so a list of
     references costs little more than the frames themselves.
@@ -93,13 +93,13 @@ class PreparedReference:
             raise ValueError(f"ssim needs spatial dims >= {SSIM_WINDOW}, got {h}x{w}")
         self.array = array
         self.mean, self.var = _moments(_window_views(np.ascontiguousarray(array, dtype=np.float64)))
-        self._self_scores: dict[float, tuple[float, float, float]] = {}
+        self._self_scores: tuple[float, float, float] | None = None
 
-    def self_scores(self, peak: float = 1.0) -> tuple[float, float, float]:
-        """(mse, ssim, smape) of the frame against itself, computed once per peak."""
-        if peak not in self._self_scores:
-            self._self_scores[peak] = _scores(self.array, self, peak)
-        return self._self_scores[peak]
+    def self_scores(self) -> tuple[float, float, float]:
+        """(mse, ssim, smape) of the frame against itself, computed once."""
+        if self._self_scores is None:
+            self._self_scores = _scores(self.array, self)
+        return self._self_scores
 
 
 def prepare_references(frames) -> list[PreparedReference]:
@@ -107,17 +107,15 @@ def prepare_references(frames) -> list[PreparedReference]:
     return [f if isinstance(f, PreparedReference) else PreparedReference(f) for f in frames]
 
 
-def ssim(a: np.ndarray, b, peak: float = 1.0) -> float:
+def ssim(a: np.ndarray, b) -> float:
     """Mean structural similarity over strided 8x8 windows.
 
-    C1 = (0.01 * peak)^2 and C2 = (0.03 * peak)^2; window statistics are
-    population moments. Spatial dims must be at least the window size.
+    Values are taken to span [0, 1], so C1 = 0.01^2 and C2 = 0.03^2; window
+    statistics are population moments. Spatial dims must be at least the window size.
     b is an array or a PreparedReference of one, whose window moments are
     then not computed again.
     """
     _check_pair(a, b.array if isinstance(b, PreparedReference) else b)
-    if peak <= 0:
-        raise ValueError("peak must be positive")
     # Preparing checks the spatial dims, which a shares.
     ref = b if isinstance(b, PreparedReference) else PreparedReference(b)
     wa = _window_views(np.ascontiguousarray(a, dtype=np.float64))
@@ -125,19 +123,19 @@ def ssim(a: np.ndarray, b, peak: float = 1.0) -> float:
     mu_a, var_a = _moments(wa)
     mu_b, var_b = ref.mean, ref.var
     cov = (wa * wb).mean(axis=(3, 4)) - mu_a * mu_b
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
+    c1 = (0.01) ** 2
+    c2 = (0.03) ** 2
     score = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
         (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     )
     return float(score.mean())
 
 
-def _scores(out: np.ndarray, ref: PreparedReference, peak: float) -> tuple[float, float, float]:
+def _scores(out: np.ndarray, ref: PreparedReference) -> tuple[float, float, float]:
     """(mse, ssim, smape) of one output against a prepared reference; the
     output is converted to float64 once for all three."""
     out64 = np.asarray(out, dtype=np.float64)
-    return mse(out64, ref.array), ssim(out64, ref, peak=peak), smape(out64, ref.array)
+    return mse(out64, ref.array), ssim(out64, ref), smape(out64, ref.array)
 
 
 @dataclass
@@ -152,7 +150,7 @@ class QualityReport:
     per_frame_ssim: list[float]
 
 
-def aggregate(report, baseline, peak: float = 1.0, warmup: int = 0) -> QualityReport:
+def aggregate(report, baseline, warmup: int = 0) -> QualityReport:
     """Summarize a SequenceReport against per-frame baseline outputs.
 
     baseline is a list of arrays or of PreparedReference; a scenario that
@@ -162,8 +160,9 @@ def aggregate(report, baseline, peak: float = 1.0, warmup: int = 0) -> QualityRe
     stored self-score; an equal-valued copy is scored in full.
 
     warmup drops the first frames from the quality means (the per-frame
-    lists still cover the whole run). The headline PSNR is computed from
-    the mean MSE so bit-exact refresh frames cannot push the average to
+    lists still cover the whole run). Values are taken to span [0, 1], as
+    in ssim. The headline PSNR, 10 log10(1 / MSE), is computed from the
+    mean MSE so bit-exact refresh frames cannot push the average to
     infinity.
     """
     outputs = report.outputs
@@ -172,7 +171,7 @@ def aggregate(report, baseline, peak: float = 1.0, warmup: int = 0) -> QualityRe
     if not 0 <= warmup < len(outputs):
         raise ValueError("warmup must leave at least one scored frame")
     scores = [
-        ref.self_scores(peak) if out is ref.array else _scores(out, ref, peak)
+        ref.self_scores() if out is ref.array else _scores(out, ref)
         for out, ref in zip(outputs, prepare_references(baseline))
     ]
     mses, ssims, smapes = (list(column) for column in zip(*scores))
@@ -180,7 +179,7 @@ def aggregate(report, baseline, peak: float = 1.0, warmup: int = 0) -> QualityRe
     mean_mse = float(np.mean(mses[scored]))
     return QualityReport(
         mean_mse=mean_mse,
-        psnr_of_mean_mse=math.inf if mean_mse == 0 else 10.0 * math.log10(peak * peak / mean_mse),
+        psnr_of_mean_mse=math.inf if mean_mse == 0 else 10.0 * math.log10(1.0 / mean_mse),
         mean_ssim=float(np.mean(ssims[scored])),
         mean_smape=float(np.mean(smapes[scored])),
         per_frame_mse=mses,

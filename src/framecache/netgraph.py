@@ -413,11 +413,8 @@ def _execute(
 
 
 def forward_full(spec: NetworkSpec, x: np.ndarray, edges=None) -> ForwardRecord:
-    """Evaluate every block; record tensors for the named edges.
-
-    edges defaults to the configured cached edges, recorded in the
-    iteration order of that frozenset.
-    """
+    """Evaluate every block; record tensors for the named edges, by
+    default the configured cached edges."""
     if edges is None:
         edges = spec.cache_config.cached_edges
     return _execute(spec, x, spec.order, cache=None, edges=edges)

@@ -40,7 +40,7 @@ timings behind these choices.
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,47 +75,47 @@ def tensor(data) -> np.ndarray:
     return x
 
 
-def _check_map(x: np.ndarray, what: str = "input") -> None:
+def _check_map(x: np.ndarray) -> None:
     if not isinstance(x, np.ndarray) or x.ndim != 3:
-        raise ValueError(f"{what} must be a rank-3 ndarray (C, H, W)")
+        raise ValueError("input must be a rank-3 ndarray (C, H, W)")
     if min(x.shape) < 1:
-        raise ValueError(f"{what} dimensions must be positive, got {x.shape}")
+        raise ValueError(f"input dimensions must be positive, got {x.shape}")
 
 
 @dataclass(frozen=True, eq=False)
 class ConvParams:
     """Weights and geometry for one 2-d convolution (cross-correlation).
 
-    weights has shape (out_channels, in_channels, kernel_h, kernel_w) and
-    bias has shape (out_channels,); both are stored as read-only float32
-    copies, so changing the arrays passed in does not change the layer.
-    Padding is symmetric zero padding. Bias adds are excluded from the
-    FLOPs count.
+    in_channels, out_channels, kernel_h and kernel_w are read from the
+    shape of weights, (out_channels, in_channels, kernel_h, kernel_w), each
+    at least 1; bias holds out_channels values. Both are stored as
+    read-only float32 copies, so changing the arrays passed in does not
+    change the layer. Padding is symmetric zero padding. Bias adds are
+    excluded from the FLOPs count.
     """
 
-    in_channels: int
-    out_channels: int
-    kernel_h: int
-    kernel_w: int
     weights: np.ndarray
     bias: np.ndarray
     stride: int = 1
     padding: int = 0
+    in_channels: int = field(init=False)
+    out_channels: int = field(init=False)
+    kernel_h: int = field(init=False)
+    kernel_w: int = field(init=False)
 
     def __post_init__(self):
-        for field in ("in_channels", "out_channels", "kernel_h", "kernel_w", "stride"):
-            if int(getattr(self, field)) < 1:
-                raise ValueError(f"{field} must be >= 1")
+        if self.stride < 1:
+            raise ValueError("stride must be >= 1")
         if self.padding < 0:
             raise ValueError("padding must be >= 0")
         w = np.array(self.weights, dtype=np.float32, order="C", copy=True)
-        shape = (self.out_channels, self.in_channels, self.kernel_h, self.kernel_w)
-        if w.size != np.prod(shape):
-            raise ValueError(f"weights size {w.size} does not match {shape}")
+        if w.ndim != 4 or min(w.shape) < 1:
+            raise ValueError(f"weights must be 4-d with every dimension >= 1, got shape {w.shape}")
+        for name, size in zip(("out_channels", "in_channels", "kernel_h", "kernel_w"), w.shape):
+            object.__setattr__(self, name, size)
         b = np.array(self.bias, dtype=np.float32, order="C", copy=True)
         if b.size != self.out_channels:
-            raise ValueError(f"bias size {b.size} does not match out_channels")
-        w = w.reshape(shape)
+            raise ValueError(f"bias size {b.size} does not match out_channels {self.out_channels}")
         b = b.reshape(-1)
         wmat = w.reshape(self.out_channels, -1).astype(np.float64)
         bias_col = b.astype(np.float64)[:, None]

@@ -163,10 +163,6 @@ def test_criterion_03_flops_ledger():
             h = int(rng.integers(kernel, 7))
             w = int(rng.integers(kernel, 7))
             params = ConvParams(
-                in_channels=in_c,
-                out_channels=out_c,
-                kernel_h=kernel,
-                kernel_w=kernel,
                 weights=rng.normal(0, 1, size=(out_c, in_c, kernel, kernel)).astype(np.float32),
                 bias=rng.normal(0, 1, size=out_c).astype(np.float32),
                 stride=stride,

@@ -149,6 +149,18 @@ class TestCorruption:
         for name in entries:
             assert np.array_equal(first[name], second[name])
 
+    def test_draws_do_not_depend_on_entry_order(self):
+        # Names that sort in neither the dict's order nor its reverse.
+        base = self.make_entries(seed=5)
+        entries = {"m->x:1": base["a->b:0"], "z->x:0": base["c->b:1"], "a->x:2": base["a->b:0"] * 2}
+        reversed_entries = dict(reversed(entries.items()))
+        for kind in ("uniform_random", "normal_random", "noise"):
+            mode = Corruption(kind, seed=8)
+            first = corrupt_cache(entries, mode)
+            second = corrupt_cache(reversed_entries, mode)
+            for name in entries:
+                assert first[name].tobytes() == second[name].tobytes(), (kind, name)
+
     def test_empty_cache_rejected(self):
         with pytest.raises(ValueError, match="empty cache"):
             corrupt_cache({}, Corruption("zero"))

@@ -34,7 +34,8 @@ from framecache.policies import EveryN, preset_policy
 from framecache.workload import SceneConfig, generate
 
 
-def naive_ssim(a, b, peak=1.0):
+def naive_ssim(a, b):
+    peak = 1.0
     a = a.astype(np.float64)
     b = b.astype(np.float64)
     c1 = (0.01 * peak) ** 2
@@ -141,11 +142,6 @@ class TestSsim:
         with pytest.raises(ValueError, match="spatial dims"):
             ssim(a, a)
 
-    def test_peak_validation(self):
-        a = np.zeros((1, 8, 8), dtype=np.float32)
-        with pytest.raises(ValueError, match="peak"):
-            ssim(a, a, peak=-1.0)
-
 
 class TestMetricProperties:
     """Identity and symmetry across all three pairwise metrics."""
@@ -221,9 +217,10 @@ class TestAggregate:
             aggregate(report, outputs, warmup=-1)
 
 
-def _seed_ssim(a, b, peak=1.0):
+def _seed_ssim(a, b):
     """ssim as computed before prepared references: both sides' moments
     from their own float64 window views."""
+    peak = 1.0
     wa = metrics._window_views(np.ascontiguousarray(a, dtype=np.float64))
     wb = metrics._window_views(np.ascontiguousarray(b, dtype=np.float64))
     mu_a = wa.mean(axis=(3, 4))
@@ -284,15 +281,14 @@ class TestPreparedReference:
         width=st.integers(8, 40),
         kind=st.sampled_from(["noise", "constant", "signed_zero"]),
         seed=st.integers(0, 2**32 - 1),
-        peak=st.sampled_from([1.0, 2.0, 255.0]),
     )
-    def test_ssim_matches_the_seed_formula_by_bits(self, channels, height, width, kind, seed, peak):
+    def test_ssim_matches_the_seed_formula_by_bits(self, channels, height, width, kind, seed):
         a, b = plane_pair(seed, (channels, height, width), kind)
-        expected = bits(_seed_ssim(a, b, peak))
-        assert bits(ssim(a, b, peak=peak)) == expected
-        assert bits(ssim(a, PreparedReference(b), peak=peak)) == expected
-        assert bits(ssim(a.astype(np.float64), PreparedReference(b), peak=peak)) == expected
-        assert bits(ssim(b, PreparedReference(b), peak=peak)) == bits(_seed_ssim(b, b, peak))
+        expected = bits(_seed_ssim(a, b))
+        assert bits(ssim(a, b)) == expected
+        assert bits(ssim(a, PreparedReference(b))) == expected
+        assert bits(ssim(a.astype(np.float64), PreparedReference(b))) == expected
+        assert bits(ssim(b, PreparedReference(b))) == bits(_seed_ssim(b, b))
 
     def test_reference_holds_only_the_frame_and_its_moments(self):
         frame = np.random.default_rng(0).uniform(size=(3, 16, 24)).astype(np.float32)
@@ -348,9 +344,9 @@ class TestSharedBaseline:
         calls = []
         seed_ssim = metrics.ssim
 
-        def counting_ssim(a, b, peak=1.0):
+        def counting_ssim(a, b):
             calls.append(a.shape)
-            return seed_ssim(a, b, peak=peak)
+            return seed_ssim(a, b)
 
         monkeypatch.setattr(metrics, "ssim", counting_ssim)
         shared = prepare_references(memo.outputs)

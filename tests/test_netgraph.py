@@ -95,14 +95,7 @@ def identity_conv(channels):
     weights = np.zeros((channels, channels, 1, 1), dtype=np.float32)
     for c in range(channels):
         weights[c, c, 0, 0] = 1.0
-    return ConvParams(
-        in_channels=channels,
-        out_channels=channels,
-        kernel_h=1,
-        kernel_w=1,
-        weights=weights,
-        bias=np.zeros(channels, dtype=np.float32),
-    )
+    return ConvParams(weights=weights, bias=np.zeros(channels, dtype=np.float32))
 
 
 class TestUnetStructure:

@@ -66,10 +66,6 @@ def naive_conv(x, params):
 
 def random_params(rng, in_c, out_c, kernel, stride=1, padding=0):
     return ConvParams(
-        in_channels=in_c,
-        out_channels=out_c,
-        kernel_h=kernel,
-        kernel_w=kernel,
         weights=rng.standard_normal((out_c, in_c, kernel, kernel)).astype(np.float32),
         bias=rng.standard_normal(out_c).astype(np.float32),
         stride=stride,
@@ -81,8 +77,7 @@ class TestConv2d:
     def test_frozen_padded_case(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 5, 6)).astype(np.float32)
-        params = ConvParams(2, 3, 3, 3,
-                            rng.standard_normal((3, 2, 3, 3)).astype(np.float32),
+        params = ConvParams(rng.standard_normal((3, 2, 3, 3)).astype(np.float32),
                             rng.standard_normal(3).astype(np.float32),
                             stride=1, padding=1)
         out = conv2d(x, params)
@@ -98,8 +93,7 @@ class TestConv2d:
         rng.standard_normal((3, 2, 3, 3))
         rng.standard_normal(3)
         x = rng.standard_normal((3, 8, 7)).astype(np.float32)
-        params = ConvParams(3, 4, 2, 2,
-                            rng.standard_normal((4, 3, 2, 2)).astype(np.float32),
+        params = ConvParams(rng.standard_normal((4, 3, 2, 2)).astype(np.float32),
                             np.zeros(4, dtype=np.float32),
                             stride=2, padding=0)
         out = conv2d(x, params)
@@ -135,19 +129,18 @@ class TestConv2d:
         weights = np.zeros((3, 3, 1, 1), dtype=np.float32)
         for c in range(3):
             weights[c, c, 0, 0] = 1.0
-        params = ConvParams(3, 3, 1, 1, weights, np.zeros(3, dtype=np.float32))
+        params = ConvParams(weights, np.zeros(3, dtype=np.float32))
         np.testing.assert_array_equal(conv2d(x, params), x)
 
     def test_box_kernel_sums_window(self):
         x = np.ones((1, 4, 4), dtype=np.float32)
-        params = ConvParams(1, 1, 3, 3,
-                            np.ones((1, 1, 3, 3), dtype=np.float32),
+        params = ConvParams(np.ones((1, 1, 3, 3), dtype=np.float32),
                             np.zeros(1, dtype=np.float32))
         out = conv2d(x, params)
         np.testing.assert_array_equal(out, np.full((1, 2, 2), 9.0, dtype=np.float32))
 
     def test_output_hw_formula(self):
-        params = ConvParams(1, 1, 3, 3, np.zeros((1, 1, 3, 3), dtype=np.float32),
+        params = ConvParams(np.zeros((1, 1, 3, 3), dtype=np.float32),
                             np.zeros(1, dtype=np.float32), stride=2, padding=1)
         assert conv_output_hw(params, 7, 9) == ((7 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
 
@@ -165,13 +158,15 @@ class TestConv2d:
         w = np.zeros((2, 1, 3, 3), dtype=np.float32)
         b = np.zeros(2, dtype=np.float32)
         with pytest.raises(ValueError):
-            ConvParams(1, 2, 3, 3, w, b, stride=0)
+            ConvParams(w, b, stride=0)
         with pytest.raises(ValueError):
-            ConvParams(1, 2, 3, 3, w, b, padding=-1)
+            ConvParams(w, b, padding=-1)
         with pytest.raises(ValueError):
-            ConvParams(1, 3, 3, 3, w, b)
+            ConvParams(w[:, 0], b)
         with pytest.raises(ValueError):
-            ConvParams(1, 2, 3, 3, w, np.zeros(3, dtype=np.float32))
+            ConvParams(w[:, :0], b)
+        with pytest.raises(ValueError):
+            ConvParams(w, np.zeros(3, dtype=np.float32))
 
 
 def _seed_conv2d(x, params):
@@ -228,7 +223,6 @@ def conv_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     params = ConvParams(
-        in_c, out_c, kernel_h, kernel_w,
         rng.standard_normal((out_c, in_c, kernel_h, kernel_w)).astype(np.float32),
         rng.standard_normal(out_c).astype(np.float32),
         stride=stride, padding=padding,
@@ -436,7 +430,7 @@ class TestConvParamsCopies:
         rng = np.random.default_rng(3)
         weights = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
         bias = rng.standard_normal(4).astype(np.float32)
-        params = ConvParams(2, 4, 3, 3, weights, bias, padding=1)
+        params = ConvParams(weights, bias, padding=1)
         x = rng.standard_normal((2, 7, 7)).astype(np.float32)
         before = conv2d(x, params)
         weights *= 2.0
