@@ -76,10 +76,10 @@ class PreparedReference:
 
     Holds the frame array, its float64 SSIM window means and variances
     (C x n_h x n_w each) and its (mse, ssim, smape) against itself once
-    self_scores asks for it. The frame must not change while
-    the reference is in use; full_passes outputs are read-only. It keeps no
-    float64 copy of the frame: each score converts it again, so a list of
-    references costs little more than the frames themselves.
+    self_scores asks for it. The frame must not change while the reference
+    is in use; full_passes outputs are read-only. It keeps no float64 copy
+    of the frame: each score converts it again, so a list of references
+    costs little more than the frames themselves.
     """
 
     __slots__ = ("array", "mean", "var", "_self_scores")
@@ -110,10 +110,10 @@ def prepare_references(frames) -> list[PreparedReference]:
 def ssim(a: np.ndarray, b) -> float:
     """Mean structural similarity over strided 8x8 windows.
 
-    Values are taken to span [0, 1], so C1 = 0.01^2 and C2 = 0.03^2; window
-    statistics are population moments. Spatial dims must be at least the window size.
-    b is an array or a PreparedReference of one, whose window moments are
-    then not computed again.
+    Values are taken to span [0, 1], so C1 = 0.01^2 and C2 = 0.03^2;
+    window statistics are population moments. Spatial dims must be at
+    least the window size. b is an array or a PreparedReference of one,
+    whose window moments are then not computed again.
     """
     _check_pair(a, b.array if isinstance(b, PreparedReference) else b)
     # Preparing checks the spatial dims, which a shares.

@@ -495,10 +495,10 @@ class TestThreadPinning:
         assert result.returncode == 0, result.stderr
 
 
-def run_tables(config, out_dir, env, scenario="all"):
-    """Run a scenario in a child process; its CSV tables by name, and stderr."""
+def run_tables(config, out_dir, env):
+    """Run every scenario in a child process; its CSV tables by name, and stderr."""
     result = subprocess.run(
-        MODULE + ["run", "--config", str(config), "--scenario", scenario, "--out", str(out_dir)],
+        MODULE + ["run", "--config", str(config), "--scenario", "all", "--out", str(out_dir)],
         capture_output=True,
         text=True,
         env=env,
