@@ -95,8 +95,7 @@ def corrupt_cache(
     if rng is None:
         rng = np.random.default_rng(mode.seed)
     out: dict[str, np.ndarray] = {}
-    for name in sorted(entries, reverse=True):
-        entry = entries[name]
+    for name, entry in sorted(entries.items(), reverse=True):
         if mode.kind == "zero":
             out[name] = np.zeros_like(entry)
         elif mode.kind == "uniform_random":
